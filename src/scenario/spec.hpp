@@ -82,7 +82,7 @@ struct Event {
   std::size_t link = 0;   // kLinkDown / kLinkUp (virtual-link index)
   double value = 0.0;     // kRegimeShift: new p; kLinkDown: loss (0 = default)
   std::size_t count = 1;  // kGrow / kGrowLinks: paths to append
-  std::string file;       // kCheckpoint / kRestore: checkpoint file path
+  std::string file{};     // kCheckpoint / kRestore: checkpoint file path
                           // (whitespace-free in the text format)
 };
 

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/monitor.hpp"
@@ -319,26 +320,37 @@ TEST(CheckpointRoundTrip, MonitorBatchEngineContinuesBitIdentically) {
 TEST(CheckpointRoundTrip, MonitorRejectsConfigMismatchIntact) {
   const auto net = losstomo::testing::make_two_beacon_network();
   const net::ReducedRoutingMatrix rrm(net.graph, net.paths);
-  const auto options = monitor_options(core::CovarianceAccumulator::kDense,
-                                       core::MonitorEngine::kStreaming);
-  const auto stream = make_stream(2 * options.window, 555);
-  core::LiaMonitor original(rrm.matrix(), options);
-  for (const auto& y : stream) (void)original.observe(y);
-  const auto image = image_of(original);
+  const auto dense = monitor_options(core::CovarianceAccumulator::kDense,
+                                     core::MonitorEngine::kStreaming);
+  const auto pairs = monitor_options(core::CovarianceAccumulator::kSharingPairs,
+                                     core::MonitorEngine::kStreaming);
+  auto longer_window = dense;
+  longer_window.window = dense.window + 1;
+  const auto stream = make_stream(2 * dense.window, 555);
 
-  auto other = options;
-  other.window = options.window + 1;
-  core::LiaMonitor target(rrm.matrix(), other);
-  try {
-    restore_from_image(target, image);
-    FAIL() << "accepted a checkpoint from a different configuration";
-  } catch (const CheckpointError& e) {
-    EXPECT_EQ(e.kind(), CheckpointErrorKind::kMismatch);
+  // (image's configuration, restore target's configuration): a different
+  // window, and a pair-accumulator image offered to a dense monitor.
+  const std::pair<core::MonitorOptions, core::MonitorOptions> cases[] = {
+      {dense, longer_window},
+      {pairs, dense},
+  };
+  for (const auto& [saved, other] : cases) {
+    core::LiaMonitor original(rrm.matrix(), saved);
+    for (const auto& y : stream) (void)original.observe(y);
+    const auto image = image_of(original);
+
+    core::LiaMonitor target(rrm.matrix(), other);
+    try {
+      restore_from_image(target, image);
+      FAIL() << "accepted a checkpoint from a different configuration";
+    } catch (const CheckpointError& e) {
+      EXPECT_EQ(e.kind(), CheckpointErrorKind::kMismatch);
+    }
+    // The failed restore must leave the target fully usable (no partial
+    // state): it still warms up and diagnoses on its own configuration.
+    for (const auto& y : stream) (void)target.observe(y);
+    EXPECT_TRUE(target.warmed_up());
   }
-  // The failed restore must leave the target fully usable (no partial
-  // state): it still warms up and diagnoses on its own configuration.
-  for (const auto& y : stream) (void)target.observe(y);
-  EXPECT_TRUE(target.warmed_up());
 }
 
 }  // namespace

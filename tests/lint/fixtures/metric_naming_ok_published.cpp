@@ -6,7 +6,7 @@
 
 void register_metrics(losstomo::obs::Registry& r) {
   r.counter("monitor.ticks");
-  r.gauge("shard.load",
+  r.gauge("host.load",
           losstomo::obs::Determinism::kNondeterministic);
   r.histogram("span.solve.seconds");
   // lint: metric-naming-ok(window_load is a serialized ring-fill ratio

@@ -110,9 +110,9 @@ TEST(Registry, DeterministicValuesSelectsTaggedMetricsOnly) {
   Registry registry;
   Counter& det_counter = registry.counter("monitor.rank1_updates");
   Gauge& det_gauge = registry.gauge("monitor.paths");
-  Counter& wall = registry.counter("monitor.merges",
+  Counter& wall = registry.counter("pipeline.source.stalls",
                                    Determinism::kNondeterministic);
-  Gauge& load = registry.gauge("monitor.shard0.paths",
+  Gauge& load = registry.gauge("host.load",
                                Determinism::kNondeterministic);
   Histogram& hist = registry.histogram("span.tick.seconds");
   det_counter.set(41);
@@ -125,8 +125,8 @@ TEST(Registry, DeterministicValuesSelectsTaggedMetricsOnly) {
   EXPECT_EQ(values.size(), 2u);
   ASSERT_TRUE(values.contains("monitor.rank1_updates"));
   ASSERT_TRUE(values.contains("monitor.paths"));
-  EXPECT_FALSE(values.contains("monitor.merges"));
-  EXPECT_FALSE(values.contains("monitor.shard0.paths"));
+  EXPECT_FALSE(values.contains("pipeline.source.stalls"));
+  EXPECT_FALSE(values.contains("host.load"));
   EXPECT_FALSE(values.contains("span.tick.seconds"));
 #ifndef LOSSTOMO_NO_TELEMETRY
   EXPECT_EQ(values.at("monitor.rank1_updates"), 41u);

@@ -1,10 +1,9 @@
-// Crash drills for the SHARDED monitor: checkpoint/restore of a
-// ShardedMonitor-backed ScenarioRunner mid-scenario must resume
-// bit-identically with the cached factor carried across (exactly one
-// factorization per resumed run), the per-shard accumulators and the
-// boundary shard rebuilt from the image, and a shard-count mismatch
-// between the image and the restoring runner rejected with a typed
-// CheckpointError before any state is touched.
+// Crash drills for the sharing-pair accumulator: checkpoint/restore of a
+// ScenarioRunner whose monitor runs core::PairMoments mid-scenario must
+// resume bit-identically with the cached factor carried across (exactly
+// one factorization per resumed run), and with the shared pair store —
+// including the pairs appended by path and link growth, in their original
+// order — rebuilt from the image rather than re-enumerated.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -12,7 +11,6 @@
 #include <vector>
 
 #include "core/monitor.hpp"
-#include "core/sharded_moments.hpp"
 #include "io/checkpoint.hpp"
 #include "linalg/matrix.hpp"
 #include "scenario/runner.hpp"
@@ -25,7 +23,7 @@ namespace {
 // type that touches monitor state happens before the kill window ends.
 ScenarioSpec drill_spec() {
   ScenarioSpec spec;
-  spec.name = "sharded-failover-drill";
+  spec.name = "pair-failover-drill";
   spec.topology.kind = TopologySpec::Kind::kMesh;
   spec.topology.nodes = 40;
   spec.topology.hosts = 24;
@@ -48,11 +46,11 @@ ScenarioSpec drill_spec() {
 }
 
 // Link-discovery drill over the constructive branching-tree family: the
-// restore path must rebuild the sharded accumulator mid-growth, after the
-// link universe has already widened.
+// restore path must rebuild the pair store and accumulator mid-growth,
+// after the link universe has already widened.
 ScenarioSpec grow_links_drill_spec() {
   ScenarioSpec spec;
-  spec.name = "sharded-grow-links-drill";
+  spec.name = "pair-grow-links-drill";
   spec.topology.kind = TopologySpec::Kind::kBranchingTree;
   spec.topology.depth = 3;
   spec.topology.branching = 4;
@@ -72,12 +70,10 @@ ScenarioSpec grow_links_drill_spec() {
   return spec;
 }
 
-core::MonitorOptions sharded_options(std::size_t shards,
-                                     std::size_t threads = 1) {
+core::MonitorOptions pair_options() {
   core::MonitorOptions options;
   options.accumulator = core::CovarianceAccumulator::kSharingPairs;
-  options.shards = shards;
-  options.lia.variance.threads = threads;
+  options.lia.variance.threads = 1;
   options.lia.variance.factor_flip_threshold = 1u << 20;
   options.lia.variance.factor_update_cap = 1u << 20;
   return options;
@@ -108,10 +104,9 @@ UninterruptedRun uninterrupted(const ScenarioSpec& spec,
   return run;
 }
 
-// Restores a fresh sharded runner from images[kill_at], finishes the
-// scenario, and checks inferences, the factor cache, and the rebuilt
-// shard bookkeeping.
-void expect_sharded_resume(const ScenarioSpec& spec,
+// Restores a fresh runner from images[kill_at], finishes the scenario, and
+// checks inferences, the factor cache, and the rebuilt pair store.
+void expect_pair_resume(const ScenarioSpec& spec,
                            const core::MonitorOptions& options,
                            const UninterruptedRun& ref, std::size_t kill_at,
                            const std::string& label) {
@@ -137,83 +132,40 @@ void expect_sharded_resume(const ScenarioSpec& spec,
   EXPECT_EQ(eqs->refactorizations(), 1u) << label;
   EXPECT_EQ(eqs->downdate_fallbacks(), 0u) << label;
 
-  // The restored accumulator is sharded again, with coherent ownership.
-  const auto* acc = runner.monitor().sharded_accumulator();
-  ASSERT_NE(acc, nullptr) << label;
-  EXPECT_EQ(acc->shard_count(), options.shards) << label;
-  std::size_t paths = 0;
-  std::size_t pairs = acc->cross_shard_pairs();
-  for (std::size_t s = 0; s < acc->shard_count(); ++s) {
-    paths += acc->shard_path_count(s);
-    pairs += acc->shard_pair_count(s);
-  }
-  EXPECT_EQ(paths, runner.monitor().routing().rows()) << label;
-  EXPECT_EQ(pairs, acc->pair_store()->pair_count()) << label;
-  EXPECT_GT(acc->merges(), 0u) << label;
+  // The restored monitor runs the pair accumulator again, over a store
+  // that covers every (grown) path.
+  EXPECT_EQ(runner.monitor().accumulator(),
+            core::CovarianceAccumulator::kSharingPairs)
+      << label;
+  const auto* store = eqs->pair_store();
+  ASSERT_NE(store, nullptr) << label;
+  EXPECT_EQ(store->path_count(), runner.monitor().routing().rows()) << label;
+  EXPECT_GT(store->pair_count(), 0u) << label;
 }
 
-TEST(ShardedFailover, KillAtEveryTickResumesBitIdentically) {
+TEST(PairFailover, KillAtEveryTickResumesBitIdentically) {
   const auto spec = drill_spec();
-  const auto options = sharded_options(/*shards=*/3);
+  const auto options = pair_options();
   const auto ref = uninterrupted(spec, options);
   ASSERT_EQ(ref.images.size(), spec.ticks);
   ASSERT_EQ(ref.refactorizations, 1u);
   for (std::size_t kill_at = 1; kill_at < spec.ticks; ++kill_at) {
-    expect_sharded_resume(spec, options, ref, kill_at,
-                          "kill_at=" + std::to_string(kill_at));
+    expect_pair_resume(spec, options, ref, kill_at,
+                       "kill_at=" + std::to_string(kill_at));
   }
 }
 
-TEST(ShardedFailover, GrowLinksDrillResumesAcrossUniverseGrowth) {
+TEST(PairFailover, GrowLinksDrillResumesAcrossUniverseGrowth) {
   const auto spec = grow_links_drill_spec();
-  for (const std::size_t shards : {2u, 5u}) {
-    const auto options = sharded_options(shards);
-    const auto ref = uninterrupted(spec, options);
-    ASSERT_EQ(ref.refactorizations, 1u) << "shards=" << shards;
-    // Curated kill points: mid-warmup, right after the window fills,
-    // straight after each grow_links burst, and late in the run.
-    for (const std::size_t kill_at : {12u, 31u, 41u, 56u, 65u}) {
-      expect_sharded_resume(spec, options, ref, kill_at,
-                            "shards=" + std::to_string(shards) +
-                                "/kill_at=" + std::to_string(kill_at));
-    }
+  const auto options = pair_options();
+  const auto ref = uninterrupted(spec, options);
+  ASSERT_EQ(ref.refactorizations, 1u);
+  // Curated kill points: mid-warmup, right after the window fills,
+  // straight after each grow_links burst, and late in the run.
+  for (const std::size_t kill_at : {12u, 31u, 41u, 56u, 65u}) {
+    expect_pair_resume(spec, options, ref, kill_at,
+                       "kill_at=" + std::to_string(kill_at));
   }
-}
-
-TEST(ShardedFailover, ShardCountMismatchIsRefused) {
-  const auto spec = drill_spec();
-  const auto options = sharded_options(/*shards=*/3);
-  ScenarioRunner runner(spec, options);
-  while (runner.ticks_run() < 30) (void)runner.step();
-  io::CheckpointWriter writer;
-  runner.save_state(writer);
-  const auto image = writer.finish();
-
-  // A runner partitioned differently — and an unsharded one — must both
-  // refuse the image with a typed mismatch, not adopt a half-translated
-  // accumulator.
-  for (const std::size_t other_shards : {2u, 0u}) {
-    const auto other_options = other_shards > 0
-                                   ? sharded_options(other_shards)
-                                   : core::MonitorOptions{};
-    ScenarioRunner other(spec, other_options);
-    auto reader = io::CheckpointReader::from_bytes(image);
-    try {
-      other.restore_state(reader);
-      FAIL() << "accepted a shards=3 image into shards=" << other_shards;
-    } catch (const io::CheckpointError& e) {
-      EXPECT_EQ(e.kind(), io::CheckpointErrorKind::kMismatch)
-          << "shards=" << other_shards;
-    }
-  }
-
-  // A matching runner still restores the very same image and finishes.
-  ScenarioRunner matching(spec, options);
-  auto reader = io::CheckpointReader::from_bytes(image);
-  matching.restore_state(reader);
-  EXPECT_EQ(matching.ticks_run(), 30u);
-  while (matching.ticks_run() < spec.ticks) (void)matching.step();
-  EXPECT_EQ(matching.outcome().ticks, spec.ticks);
 }
 
 }  // namespace
