@@ -113,8 +113,7 @@ VarianceEstimate restore_estimate(io::CheckpointReader& reader) {
 LiaMonitor::LiaMonitor(linalg::SparseBinaryMatrix r, MonitorOptions options)
     : options_(resolve_monitor_options(std::move(options), r)),
       engine_(options_.engine),
-      r_(std::move(r)),
-      lia_(r_, options_.lia) {
+      r_(std::move(r)) {
   if (options_.window < 2) throw std::invalid_argument("window must be >= 2");
   if (options_.relearn_every == 0) {
     throw std::invalid_argument("relearn_every must be >= 1");
@@ -178,16 +177,10 @@ void LiaMonitor::publish_telemetry() {
     t.pending_flips->set(static_cast<double>(equations_->pending_flips()));
   }
   if (store_) t.pairs->set(store_->pair_count());
-  const VarianceEstimate* estimate = nullptr;
-  if (churn_ && churn_variance_) {
-    estimate = &*churn_variance_;
-  } else if (lia_.trained()) {
-    estimate = &lia_.variances();
-  }
-  if (estimate != nullptr) {
-    t.equations_used->set(static_cast<double>(estimate->equations_used));
-    t.equations_dropped->set(static_cast<double>(estimate->equations_dropped));
-    t.negative_clamped->set(static_cast<double>(estimate->negative_clamped));
+  if (variance_) {
+    t.equations_used->set(static_cast<double>(variance_->equations_used));
+    t.equations_dropped->set(static_cast<double>(variance_->equations_dropped));
+    t.negative_clamped->set(static_cast<double>(variance_->negative_clamped));
   }
 }
 
@@ -225,8 +218,8 @@ bool LiaMonitor::path_full(std::size_t i) const {
 }
 
 const VarianceEstimate& LiaMonitor::variances() const {
-  if (churn_ && churn_variance_) return *churn_variance_;
-  return lia_.variances();
+  if (!variance_) throw std::logic_error("variances unavailable before learn");
+  return *variance_;
 }
 
 std::size_t LiaMonitor::active_path_count() const {
@@ -243,7 +236,6 @@ void LiaMonitor::set_path_active(std::size_t path, bool active) {
         "streaming path churn requires the drop-negative policy");
   }
   if ((active_[path] != 0) == active) return;
-  churn_ = true;
   active_[path] = active ? 1 : 0;
   if (active) activated_tick_[path] = ticks_;
   active_dirty_ = true;
@@ -287,7 +279,6 @@ std::size_t LiaMonitor::add_paths(std::vector<std::vector<std::uint32_t>> rows,
   const std::size_t index = r_.rows();
   const std::size_t count = rows.size();
   r_.append_rows(new_links, std::move(rows));  // validates the rows
-  churn_ = true;
   active_.resize(index + count, 1);
   activated_tick_.resize(index + count, ticks_);
   active_dirty_ = true;
@@ -321,20 +312,11 @@ void LiaMonitor::rebuild_active() {
   active_dirty_ = false;
 }
 
-void LiaMonitor::relearn_batch() {
-  stats::SnapshotMatrix history(r_.rows(), options_.window);
-  for (std::size_t l = 0; l < options_.window; ++l) {
-    const auto& y = window_[l];
-    std::copy(y.begin(), y.end(), history.sample(l).begin());
-  }
-  lia_.learn(history);
-}
-
-void LiaMonitor::relearn_churn() {
+void LiaMonitor::relearn() {
   rebuild_active();
   if (engine_ == MonitorEngine::kStreaming) {
     equations_->refresh(covariance_source());
-    churn_variance_ = equations_->solve();
+    variance_ = equations_->solve();
   } else {
     // Batch reference: estimate from the active paths whose window entries
     // are all real measurements — the exact set whose pairs the streaming
@@ -349,8 +331,8 @@ void LiaMonitor::relearn_churn() {
     }
     if (full_rows.size() < 2) {
       // Not enough learned history to estimate anything yet.
-      churn_variance_.reset();
-      churn_elimination_.reset();
+      variance_.reset();
+      elimination_.reset();
       return;
     }
     linalg::SparseBinaryMatrix sub(r_.cols(), std::move(rows));
@@ -361,39 +343,10 @@ void LiaMonitor::relearn_churn() {
         history.at(l, idx) = y[full_rows[idx]];
       }
     }
-    churn_variance_ =
-        estimate_link_variances(sub, history, options_.lia.variance);
+    variance_ = estimate_link_variances(sub, history, options_.lia.variance);
   }
-  churn_elimination_ = eliminate_low_variance_links(
-      *active_r_, churn_variance_->v, options_.lia.elimination);
-}
-
-std::optional<LossInference> LiaMonitor::observe_churn(
-    std::span<const double> y) {
-  std::optional<LossInference> result;
-  if (window_fill() == options_.window) {
-    obs::Span solve_span(obs_ ? obs_->registry : nullptr,
-                         obs_ ? obs_->solve_phase : 0);
-    if (!churn_variance_ || ++since_learn_ >= options_.relearn_every) {
-      relearn_churn();
-      since_learn_ = 0;
-    }
-    if (churn_variance_ && churn_elimination_) {
-      linalg::Vector y_active(active_rows_.size());
-      for (std::size_t idx = 0; idx < active_rows_.size(); ++idx) {
-        y_active[idx] = y[active_rows_[idx]];
-      }
-      result =
-          infer_snapshot_losses(*active_r_, *churn_elimination_, y_active);
-    }
-  }
-  {
-    obs::Span accumulate_span(obs_ ? obs_->registry : nullptr,
-                              obs_ ? obs_->accumulate_phase : 0);
-    push_snapshot(y);
-  }
-  publish_telemetry();
-  return result;
+  elimination_ = eliminate_low_variance_links(*active_r_, variance_->v,
+                                              options_.lia.elimination);
 }
 
 void LiaMonitor::observe_block(std::span<const double> values,
@@ -416,25 +369,24 @@ std::optional<LossInference> LiaMonitor::observe(std::span<const double> y) {
     throw std::invalid_argument("snapshot size");
   }
   ++ticks_;
-  if (churn_) return observe_churn(y);
-
-  const bool streaming = engine_ == MonitorEngine::kStreaming;
   std::optional<LossInference> result;
   if (window_fill() == options_.window) {
     // Window full: (re)learn if due, then diagnose this snapshot using the
     // PRECEDING window only (the paper's m-then-(m+1) split).
-    if (!lia_.trained() || ++since_learn_ >= options_.relearn_every) {
+    if (!variance_ || ++since_learn_ >= options_.relearn_every) {
       obs::Span solve_span(obs_ ? obs_->registry : nullptr,
                            obs_ ? obs_->solve_phase : 0);
-      if (streaming) {
-        equations_->refresh(covariance_source());
-        lia_.adopt(equations_->solve());
-      } else {
-        relearn_batch();
-      }
+      relearn();
       since_learn_ = 0;
     }
-    result = lia_.infer(y);
+    if (elimination_) {
+      // Phase 2 on the active rows; with no churn that is every row.
+      y_active_.resize(active_rows_.size());
+      for (std::size_t idx = 0; idx < active_rows_.size(); ++idx) {
+        y_active_[idx] = y[active_rows_[idx]];
+      }
+      result = infer_snapshot_losses(*active_r_, *elimination_, y_active_);
+    }
   }
   // Every snapshot enters the window — also between relearns — so a
   // delayed relearn sees the full intermediate history.
@@ -464,13 +416,10 @@ void LiaMonitor::save_state(io::CheckpointWriter& writer) const {
   for (std::size_t i = 0; i < r_.rows(); ++i) writer.u32s(r_.row(i));
   writer.usize(ticks_);
   writer.usize(since_learn_);
-  writer.boolean(churn_);
   writer.u8s(active_);
   writer.sizes(activated_tick_);
-  writer.boolean(lia_.trained());
-  if (lia_.trained()) save_estimate(writer, lia_.variances());
-  writer.boolean(churn_variance_.has_value());
-  if (churn_variance_) save_estimate(writer, *churn_variance_);
+  writer.boolean(variance_.has_value());
+  if (variance_) save_estimate(writer, *variance_);
   if (engine_ == MonitorEngine::kStreaming) {
     const bool shared_store = store_ != nullptr;
     if (shared_store) store_->save_state(writer);
@@ -540,24 +489,17 @@ void LiaMonitor::restore_state(io::CheckpointReader& reader) {
   }
   const std::size_t ticks = reader.usize();
   const std::size_t since_learn = reader.usize();
-  const bool churn = reader.boolean();
   std::vector<std::uint8_t> active = reader.u8s();
   std::vector<std::size_t> activated_tick = reader.sizes();
   if (active.size() != nrows || activated_tick.size() != nrows) {
     throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
                               "activation ledger size != path count");
   }
-  std::optional<VarianceEstimate> lia_estimate;
-  if (reader.boolean()) lia_estimate = restore_estimate(reader);
-  if (lia_estimate && lia_estimate->v.size() != lia_.routing().cols()) {
+  std::optional<VarianceEstimate> estimate;
+  if (reader.boolean()) estimate = restore_estimate(reader);
+  if (estimate && estimate->v.size() != cols) {
     throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
-                              "adopted variance estimate has wrong size");
-  }
-  std::optional<VarianceEstimate> churn_estimate;
-  if (reader.boolean()) churn_estimate = restore_estimate(reader);
-  if (churn_estimate && churn_estimate->v.size() != cols) {
-    throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
-                              "churn variance estimate has wrong size");
+                              "variance estimate has wrong size");
   }
 
   // Reconstruct the engine stack over the restored routing, restore its
@@ -609,7 +551,6 @@ void LiaMonitor::restore_state(io::CheckpointReader& reader) {
   r_ = std::move(*new_r);
   ticks_ = ticks;
   since_learn_ = since_learn;
-  churn_ = churn;
   active_ = std::move(active);
   activated_tick_ = std::move(activated_tick);
   active_dirty_ = true;
@@ -620,15 +561,12 @@ void LiaMonitor::restore_state(io::CheckpointReader& reader) {
   accumulator_ = std::move(acc);
   pair_accumulator_ = std::move(pair_acc);
   equations_ = std::move(equations);
-  if (lia_estimate) lia_.adopt(std::move(*lia_estimate));
-  if (churn_ && churn_estimate) {
-    churn_variance_ = std::move(churn_estimate);
+  variance_ = std::move(estimate);
+  elimination_.reset();
+  if (variance_) {
     rebuild_active();
-    churn_elimination_ = eliminate_low_variance_links(
-        *active_r_, churn_variance_->v, options_.lia.elimination);
-  } else {
-    churn_variance_.reset();
-    churn_elimination_.reset();
+    elimination_ = eliminate_low_variance_links(*active_r_, variance_->v,
+                                                options_.lia.elimination);
   }
   if (obs_) {
     // The engine stack was rebuilt: drop a marker and republish from the

@@ -6,6 +6,12 @@
 // is the pattern used by examples/overlay_monitoring and the §7.2.2
 // duration study, packaged so library users get it directly.
 //
+// One tick serves every monitor: Phase 1 (the relearn) produces a
+// VarianceEstimate over the link universe, Phase 2 eliminates the quietest
+// links on the active-row submatrix and solves the newest snapshot
+// gathered onto the active rows.  A monitor whose paths never churn is
+// simply the case where every row is active.
+//
 // Two engines drive the per-tick relearn:
 //  * kStreaming (default) — an incremental accumulator keeps the window
 //    covariance current under rank-1 add/retire updates, and a
@@ -41,7 +47,8 @@
 // the cached factor — no refactorization.
 // A (re)joining path warms up for one full window before its pair
 // equations enter Phase 1 (exactly the warm-up the initial window
-// imposes); Phase 2 runs on the active-row submatrix every relearn.
+// imposes); Phase 2 re-eliminates on the active-row submatrix every
+// relearn.
 // Streaming churn requires the drop-negative policy.  Callers must keep
 // supplying a snapshot entry for every known row — 0.0 for inactive
 // paths (a deterministic filler; never read by the estimator).
@@ -207,7 +214,10 @@ class LiaMonitor {
   [[nodiscard]] std::size_t ticks() const { return ticks_; }
   /// True once diagnoses are being produced.
   [[nodiscard]] bool warmed_up() const { return ticks_ >= options_.window; }
-  /// Variances from the most recent learn (requires warmed_up()).
+  /// The Phase-1 estimate the current diagnoses use.  Throws
+  /// std::logic_error while none exists: before the first relearn, and
+  /// after a batch relearn that found fewer than two fully-windowed
+  /// active paths.
   [[nodiscard]] const VarianceEstimate& variances() const;
   /// The engine actually driving relearns (kDenseQr configurations fall
   /// back to kBatch).
@@ -229,13 +239,12 @@ class LiaMonitor {
   // -- Checkpointing (io/checkpoint.hpp) ----------------------------------
   //
   // save_state serializes the complete mutable monitor: the (possibly
-  // grown) routing matrix, tick/relearn counters, churn flags and
-  // activation ledger, the batch window or the streaming stack (shared
-  // pair store, accumulator rings, incrementally maintained normal
-  // equations with their cached factor), and the adopted Phase-1
-  // estimates.  Phase-2 eliminations are NOT serialized — they are pure
-  // functions of (routing, variances) and are recomputed on restore, bit-
-  // identically.
+  // grown) routing matrix, tick/relearn counters, the activation ledger,
+  // the batch window or the streaming stack (shared pair store,
+  // accumulator rings, incrementally maintained normal equations with
+  // their cached factor), and the current Phase-1 estimate.  The Phase-2
+  // elimination is NOT serialized — it is a pure function of (active
+  // routing, variances) and is recomputed on restore, bit-identically.
   //
   // restore_state targets a monitor constructed with the SAME options and
   // the same *initial* routing matrix (paths appended mid-run are replayed
@@ -251,15 +260,13 @@ class LiaMonitor {
  private:
   struct Telemetry;  // pre-resolved metric handles (monitor.cpp)
 
-  void relearn_batch();
-  void relearn_churn();
+  void relearn();
   void rebuild_active();
   /// Mirrors the deterministic engine state into the attached registry
   /// (no-op without one).  Called at the end of every observe() and after
   /// a restore commit, so exported counters always reflect the serialized
   /// state they are derived from.
   void publish_telemetry();
-  std::optional<LossInference> observe_churn(std::span<const double> y);
   void push_snapshot(std::span<const double> y);
   [[nodiscard]] std::size_t window_fill() const;
   /// The streaming engine's accumulator, whichever kind is engaged.
@@ -271,7 +278,6 @@ class LiaMonitor {
   MonitorOptions options_;
   MonitorEngine engine_;
   linalg::SparseBinaryMatrix r_;  // authoritative (grows under add_path)
-  Lia lia_;                       // non-churn learn/infer state
   // Batch engine state.
   std::deque<linalg::Vector> window_;
   // Streaming engine state.
@@ -279,15 +285,16 @@ class LiaMonitor {
   std::optional<stats::StreamingMoments> accumulator_;
   std::optional<PairMoments> pair_accumulator_;  // kSharingPairs only
   std::optional<StreamingNormalEquations> equations_;
-  // Churn state (engaged at the first set_path_active/add_path call).
-  bool churn_ = false;
+  // Activation ledger and the active-row submatrix Phase 2 runs on.
   std::vector<std::uint8_t> active_;
   std::vector<std::size_t> activated_tick_;  // ticks_ at last activation
   bool active_dirty_ = true;
   std::vector<std::uint32_t> active_rows_;
   std::optional<linalg::SparseBinaryMatrix> active_r_;
-  std::optional<VarianceEstimate> churn_variance_;
-  std::optional<Elimination> churn_elimination_;
+  linalg::Vector y_active_;  // the snapshot gathered onto active_rows_
+  // Phase-1 estimate and the Phase-2 elimination derived from it.
+  std::optional<VarianceEstimate> variance_;
+  std::optional<Elimination> elimination_;
   std::size_t ticks_ = 0;
   std::size_t since_learn_ = 0;
   std::unique_ptr<Telemetry> obs_;  // nullptr unless options.telemetry

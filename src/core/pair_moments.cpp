@@ -89,16 +89,6 @@ void PairMoments::push(std::span<const double> y) {
   if (++since_refresh_ >= options_.refresh_every) refresh();
 }
 
-void PairMoments::push_block(std::span<const double> values,
-                             std::size_t rows) {
-  if (values.size() != rows * dim_) {
-    throw std::invalid_argument("push_block size != rows * dim");
-  }
-  for (std::size_t r = 0; r < rows; ++r) {
-    push(values.subspan(r * dim_, dim_));
-  }
-}
-
 void PairMoments::refresh() {
   since_refresh_ = 0;
   ++refreshes_;

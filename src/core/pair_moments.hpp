@@ -57,12 +57,6 @@ class PairMoments final : public stats::CovarianceSource {
   /// drift refresh.
   void push(std::span<const double> y);
 
-  /// Batched ingestion entry point: folds `rows` consecutive snapshots
-  /// from a contiguous row-major block of rows * dim() doubles.
-  /// State-identical and bit-identical to the per-row push() loop (same
-  /// contract as stats::StreamingMoments::push_block).
-  void push_block(std::span<const double> values, std::size_t rows);
-
   /// Recomputes means and every stored pair entry from the retained ring
   /// (drift bound; runs automatically every refresh_every pushes).
   void refresh();

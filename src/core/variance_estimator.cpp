@@ -1067,15 +1067,19 @@ void StreamingNormalEquations::refactorize() {
 // sequential and depends only on the operand values, so results are
 // identical at any thread count.
 bool StreamingNormalEquations::refine(linalg::Vector& v) {
-  // Tolerance, budget, and contraction come from VarianceOptions so a
-  // deployment can trade parity for tick latency (ROADMAP open item); the
-  // defaults reproduce the recorded 1e-13 * ||h|| behaviour.
+  // Residual target relative to ||h||_inf (a recomputed true residual
+  // within 10x of it is accepted).  A step "contracts" when it multiplies
+  // the best residual seen by at most kContraction; kStallWindow
+  // consecutive non-contracting steps abort to the refactorization.
+  constexpr double kTolerance = 1e-13;
+  constexpr double kContraction = 0.5;
+  constexpr int kStallWindow = 5;
   const int max_iterations = options_.refine_max_iterations;
   if (max_iterations <= 0) return false;  // refinement disabled
   const std::size_t n = sys_.h.size();
   double hnorm = 0.0;
   for (const double x : sys_.h) hnorm = std::max(hnorm, std::fabs(x));
-  const double tol = options_.refine_tolerance * std::max(hnorm, 1e-300);
+  const double tol = kTolerance * std::max(hnorm, 1e-300);
 
   const linalg::Vector gv = sys_.g.multiply(v);
   linalg::Vector r(n);
@@ -1121,10 +1125,10 @@ bool StreamingNormalEquations::refine(linalg::Vector& v) {
       return true_rnorm <= 10.0 * tol;
     }
     if (rnorm > 100.0 * r0) return false;  // diverging
-    if (rnorm < options_.refine_contraction * best) {
+    if (rnorm < kContraction * best) {
       best = rnorm;
       since_best = 0;
-    } else if (++since_best >= options_.refine_stall_window) {
+    } else if (++since_best >= kStallWindow) {
       return false;  // stalled above tolerance
     }
     z = factor_->solve(r);

@@ -76,24 +76,12 @@ struct VarianceOptions {
   /// the factor always current (e.g. to keep solve latency flat) can
   /// raise it.
   std::size_t factor_flip_threshold = 0;
-  /// Streaming drop-negative PCG refinement knobs (stale/drifted cached
-  /// factor polished against the exact integer-maintained G).  These trade
-  /// parity for tick latency in a deployment: a looser tolerance or a
-  /// smaller budget accepts a less-refined solve before falling back to a
-  /// full refactorization.
-  ///
-  /// Residual target, relative to ||h||_inf: refinement stops once
-  /// ||h - G v||_inf <= refine_tolerance * ||h||_inf (a recomputed true
-  /// residual within 10x of the target is accepted).
-  double refine_tolerance = 1e-13;
-  /// PCG iteration budget per solve; <= 0 disables refinement entirely, so
-  /// every inexact-factor tick refactorizes (the pre-PR-3 behaviour).
+  /// Streaming drop-negative PCG refinement budget (stale/drifted cached
+  /// factor polished against the exact integer-maintained G): iterations
+  /// per solve before falling back to a full refactorization; <= 0
+  /// disables refinement entirely, so every inexact-factor tick
+  /// refactorizes.
   int refine_max_iterations = 40;
-  /// A step "contracts" when it multiplies the best residual seen by at
-  /// most this factor; refine_stall_window consecutive non-contracting
-  /// steps abort to the refactorization fallback.
-  double refine_contraction = 0.5;
-  int refine_stall_window = 5;
   /// Drop-negative only: jitter-ladder rung (linalg::RegularizedCholesky
   /// escalation attempts; 1 = the base jitter) at which the solve abandons
   /// the regularized factorization and degrades through the pivoted

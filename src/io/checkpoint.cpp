@@ -190,9 +190,8 @@ std::vector<std::uint8_t> CheckpointWriter::finish() {
     throw std::logic_error("checkpoint finish with an open section");
   }
   finished_ = true;
-  std::vector<std::uint8_t> out;
+  std::vector<std::uint8_t> out(kMagic.begin(), kMagic.end());
   out.reserve(kHeaderSize + payload_.size());
-  out.insert(out.end(), kMagic.begin(), kMagic.end());
   append_le(out, kVersion, 4);
   append_le(out, payload_.size(), 8);
   append_le(out, crc32(payload_), 4);

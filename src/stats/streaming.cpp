@@ -127,16 +127,6 @@ void StreamingMoments::push(std::span<const double> y) {
   if (++since_refresh_ >= options_.refresh_every) refresh();
 }
 
-void StreamingMoments::push_block(std::span<const double> values,
-                                  std::size_t rows) {
-  if (values.size() != rows * dim_) {
-    throw std::invalid_argument("push_block size != rows * dim");
-  }
-  for (std::size_t r = 0; r < rows; ++r) {
-    push(values.subspan(r * dim_, dim_));
-  }
-}
-
 void StreamingMoments::refresh() {
   since_refresh_ = 0;
   ++refreshes_;

@@ -58,16 +58,6 @@ class StreamingMoments final : public CovarianceSource {
   /// do not overlap push() with reads of matrix()/covariance().
   void push(std::span<const double> y);
 
-  /// Folds `rows` consecutive snapshots from a contiguous row-major block
-  /// of rows * dim() doubles — the batched ingestion entry point
-  /// (io::BinaryTraceReader blocks fold in with no per-row call
-  /// overhead).  State-identical and bit-identical to the per-row push()
-  /// loop: the Youngs–Cramer recurrences are inherently sequential per
-  /// snapshot, so the block form hoists validation and keeps the
-  /// per-snapshot arithmetic (whose rank-1 inner loops are already
-  /// util::parallel row-chunked) unchanged.
-  void push_block(std::span<const double> values, std::size_t rows);
-
   // CovarianceSource:
   [[nodiscard]] std::size_t dim() const override { return dim_; }
   [[nodiscard]] std::size_t count() const override { return count_; }

@@ -76,6 +76,27 @@ TEST(MonitorChurn, LeaveUncoversAndPinsPrivateLink) {
   EXPECT_EQ(inference->loss.size(), 4u);
 }
 
+TEST(MonitorChurn, BatchWithoutTwoFullPathsHasNoEstimate) {
+  const auto r = tiny_universe();
+  LiaMonitor monitor(r, churn_options(MonitorEngine::kBatch));
+  stats::Rng rng(5);
+  for (std::size_t l = 0; l < 10; ++l) {
+    (void)monitor.observe(synthetic_snapshot(r, rng));
+  }
+  ASSERT_TRUE(monitor.warmed_up());
+  ASSERT_NO_THROW((void)monitor.variances());
+
+  // One fully-windowed path is left: nothing to estimate, so no diagnosis
+  // and no estimate — not the one learned before the leave.
+  monitor.set_path_active(1, false);
+  monitor.set_path_active(2, false);
+  auto y = synthetic_snapshot(r, rng);
+  y[1] = 0.0;
+  y[2] = 0.0;
+  EXPECT_FALSE(monitor.observe(y).has_value());
+  EXPECT_THROW((void)monitor.variances(), std::logic_error);
+}
+
 TEST(MonitorChurn, StreamingMatchesBatchThroughJoinLeaveAndGrowth) {
   const auto r = tiny_universe();
   for (const std::size_t threads : {1u, 2u}) {

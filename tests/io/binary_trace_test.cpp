@@ -133,11 +133,12 @@ TEST(BinaryTrace, WriterRejectsMisuse) {
 
 TEST(BinaryTrace, RowsOutOfRangeIsChecked) {
   const auto reader = BinaryTraceReader::open(sample_trace());
-  EXPECT_THROW(reader.rows(0, 5), std::out_of_range);
-  EXPECT_THROW(reader.rows(4, 1), std::out_of_range);
+  EXPECT_THROW((void)reader.rows(0, 5), std::out_of_range);
+  EXPECT_THROW((void)reader.rows(4, 1), std::out_of_range);
   // first > snapshots with a count that would wrap naive arithmetic.
-  EXPECT_THROW(reader.rows(5, std::numeric_limits<std::size_t>::max()),
-               std::out_of_range);
+  EXPECT_THROW(
+      (void)reader.rows(5, std::numeric_limits<std::size_t>::max()),
+      std::out_of_range);
   EXPECT_EQ(reader.rows(4, 0).size(), 0u);  // empty tail slice is fine
 }
 

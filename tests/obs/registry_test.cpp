@@ -203,7 +203,9 @@ TEST(Span, NestedSpansCreditExclusiveTime) {
     {
       Span inner_span(&registry, inner);
       volatile double acc = 0.0;
-      for (int i = 0; i < 200000; ++i) acc += static_cast<double>(i) * 1e-9;
+      for (int i = 0; i < 200000; ++i) {
+        acc = acc + static_cast<double>(i) * 1e-9;
+      }
     }
   }
   const Histogram& outer_hist = registry.histogram("span.outer.seconds");

@@ -48,7 +48,7 @@ TEST(Args, RejectsMalformedArgument) {
 
 TEST(Args, RejectsBadBoolean) {
   const auto args = make_args({"flag=maybe"});
-  EXPECT_THROW(args.get_bool("flag", false), std::invalid_argument);
+  EXPECT_THROW((void)args.get_bool("flag", false), std::invalid_argument);
 }
 
 TEST(Args, FinishFlagsUnknownKeys) {
@@ -108,7 +108,7 @@ TEST(Timer, MeasuresElapsedTime) {
   Timer timer;
   // Burn a little CPU deterministically.
   volatile double acc = 0.0;
-  for (int i = 0; i < 100000; ++i) acc += static_cast<double>(i) * 1e-9;
+  for (int i = 0; i < 100000; ++i) acc = acc + static_cast<double>(i) * 1e-9;
   EXPECT_GT(timer.seconds(), 0.0);
   EXPECT_GE(timer.millis(), timer.seconds() * 1000.0 * 0.99);
   timer.reset();
@@ -118,7 +118,9 @@ TEST(Timer, MeasuresElapsedTime) {
 // Burns enough CPU that a monotonic clock must advance through it.
 double busy_work(int iterations = 200000) {
   volatile double acc = 0.0;
-  for (int i = 0; i < iterations; ++i) acc += static_cast<double>(i) * 1e-9;
+  for (int i = 0; i < iterations; ++i) {
+    acc = acc + static_cast<double>(i) * 1e-9;
+  }
   return acc;
 }
 
