@@ -20,6 +20,10 @@
 //    (O(np + sharing pairs) per tick) under light churn — the ROADMAP
 //    lever: only sharing-pair covariances are ever read by drop-negative,
 //    ~1.3M entries instead of 26M there;
+//    the pair-accumulator run also times the cold path: runner
+//    construction (topology, routing and fluttering sanitation, universe,
+//    monitor) and a warm-spare recovery (construct a fresh runner, restore
+//    the finished run's checkpoint into it);
 //  * a mass-growth overlay: `grow_batch` reserve paths join in ONE grow
 //    event.  Measures the batched LiaMonitor::add_paths against the
 //    per-row add_path loop at that batch size (the acceptance lever: one
@@ -36,6 +40,7 @@
 
 #include "common.hpp"
 #include "core/monitor.hpp"
+#include "io/checkpoint.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 
@@ -52,12 +57,17 @@ struct ChurnFigures {
   std::size_t refine_iterations = 0;
   std::size_t store_pairs = 0;
   std::size_t store_bytes = 0;
+  double setup_seconds = 0.0;    // runner construction
+  double restore_seconds = 0.0;  // fresh runner + restore_state (if timed)
 };
 
-ChurnFigures run_scenario(scenario::ScenarioSpec spec,
-                          core::MonitorOptions options) {
-  scenario::ScenarioRunner runner(std::move(spec), options);
+ChurnFigures run_scenario(const scenario::ScenarioSpec& spec,
+                          core::MonitorOptions options,
+                          bool time_restore = false) {
   ChurnFigures out;
+  const util::Timer setup;
+  scenario::ScenarioRunner runner(spec, options);
+  out.setup_seconds = setup.seconds();
   out.np = runner.universe().path_count();
   out.nc = runner.universe().link_count();
   out.outcome = runner.run();
@@ -70,6 +80,15 @@ ChurnFigures run_scenario(scenario::ScenarioSpec spec,
       out.store_pairs = store->pair_count();
       out.store_bytes = store->bytes();
     }
+  }
+  if (time_restore) {
+    io::CheckpointWriter writer;
+    runner.save_state(writer);
+    auto reader = io::CheckpointReader::from_bytes(writer.finish());
+    const util::Timer restore;
+    scenario::ScenarioRunner spare(spec, options);
+    spare.restore_state(reader);
+    out.restore_seconds = restore.seconds();
   }
   return out;
 }
@@ -238,7 +257,7 @@ int main(int argc, char** argv) {
       const auto pairs = run_scenario(
           overlay_spec(overlay_hosts, overlay_m, overlay_ticks,
                        2 * churn_every),
-          pair_mode);
+          pair_mode, /*time_restore=*/true);
       table.add_row({"overlay (" + std::to_string(dense.np) + "p)", "dense",
                      util::Table::num(dense.outcome.steady_tick_seconds, 5),
                      util::Table::num(dense.outcome.event_tick_seconds, 5),
@@ -266,6 +285,10 @@ int main(int argc, char** argv) {
       report.set("overlay_pair_speedup" + suffix,
                  dense.outcome.steady_tick_seconds /
                      pairs.outcome.steady_tick_seconds);
+      report.set("overlay_setup_seconds" + suffix, pairs.setup_seconds);
+      report.set("overlay_restore_seconds" + suffix, pairs.restore_seconds);
+      std::cout << "overlay cold path (pairs): setup " << pairs.setup_seconds
+                << " s, restore " << pairs.restore_seconds << " s\n";
     }
     // -- mass growth: one grow event of `grow_batch` paths --------------
     if (grow_hosts >= 2 && grow_batch >= 1) {
@@ -300,6 +323,9 @@ int main(int argc, char** argv) {
         core::LiaMonitor monitor(
             linalg::SparseBinaryMatrix(universe.cols(), initial_rows),
             options);
+        // A pair monitor builds its stack at first use: let one snapshot
+        // do that outside the timed append.
+        (void)monitor.observe(std::vector<double>(initial, 0.0));
         auto rows = batch_rows;
         util::Timer timer;
         if (batch_mode) {

@@ -82,6 +82,13 @@ MonitorOptions resolve_monitor_options(MonitorOptions options,
   return options;
 }
 
+stats::StreamingMomentsOptions accumulator_options(
+    const MonitorOptions& options) {
+  return {.window = options.window,
+          .refresh_every = options.refresh_every,
+          .threads = options.lia.variance.threads};
+}
+
 void save_estimate(io::CheckpointWriter& writer, const VarianceEstimate& e) {
   writer.begin_section(io::tags::kVarianceEstimate);
   writer.doubles(e.v);
@@ -131,27 +138,78 @@ LiaMonitor::LiaMonitor(linalg::SparseBinaryMatrix r, MonitorOptions options)
         "the sharing-pair accumulator requires the streaming engine with "
         "the drop-negative policy");
   }
-  if (engine_ == MonitorEngine::kStreaming) {
-    const stats::StreamingMomentsOptions accumulator_options{
-        .window = options_.window,
-        .refresh_every = options_.refresh_every,
-        .threads = options_.lia.variance.threads};
-    if (options_.accumulator == CovarianceAccumulator::kSharingPairs) {
-      store_ = std::make_shared<SharingPairStore>(
-          SharingPairStore::build(r_, options_.lia.variance.threads));
-      pair_accumulator_.emplace(store_, r_.rows(), accumulator_options);
-      equations_.emplace(r_, options_.lia.variance, store_);
-    } else {
-      accumulator_.emplace(r_.rows(), accumulator_options);
-      equations_.emplace(r_, options_.lia.variance);
-    }
-  }
   active_.assign(r_.rows(), 1);
   activated_tick_.assign(r_.rows(), 0);
+  // The pair stack waits for its first use: a monitor built only to be
+  // restored into never pays for the store.
+  if (engine_ == MonitorEngine::kStreaming &&
+      options_.accumulator == CovarianceAccumulator::kDense) {
+    stack_ = make_stack();
+  }
   if (options_.telemetry != nullptr) {
     obs_ = std::make_unique<Telemetry>(*options_.telemetry);
     publish_telemetry();
   }
+}
+
+LiaMonitor::Stack LiaMonitor::make_stack() const {
+  Stack stack;
+  if (options_.accumulator == CovarianceAccumulator::kDense) {
+    stack.accumulator.emplace(r_.rows(), accumulator_options(options_));
+    stack.equations.emplace(r_, options_.lia.variance);
+    return stack;
+  }
+  stack.store = std::make_shared<SharingPairStore>(
+      SharingPairStore::build(r_, options_.lia.variance.threads));
+  stack.pair_accumulator.emplace(stack.store, r_.rows(),
+                                 accumulator_options(options_));
+  stack.equations.emplace(r_, options_.lia.variance, stack.store);
+  // Paths retired before the first snapshot: on a fresh stack retiring
+  // flips nothing, so this is the state the eager calls would have left.
+  for (std::size_t i = 0; i < r_.rows(); ++i) {
+    if (active_[i]) continue;
+    stack.equations->set_path_live(i, false);
+    stack.pair_accumulator->retire_path(i);
+  }
+  return stack;
+}
+
+void LiaMonitor::ensure_stack() {
+  if (engine_ == MonitorEngine::kStreaming && !stack_.equations) {
+    stack_ = make_stack();
+  }
+}
+
+void LiaMonitor::Stack::save_state(io::CheckpointWriter& writer) const {
+  if (store) store->save_state(writer);
+  if (pair_accumulator) {
+    pair_accumulator->save_state(writer);
+  } else {
+    accumulator->save_state(writer);
+  }
+  equations->save_state(writer, store != nullptr);
+}
+
+void LiaMonitor::Stack::restore_state(io::CheckpointReader& reader,
+                                      const linalg::SparseBinaryMatrix& r,
+                                      const MonitorOptions& options) {
+  if (options.accumulator == CovarianceAccumulator::kDense) {
+    accumulator.emplace(r.rows(), accumulator_options(options));
+    accumulator->restore_state(reader);
+    equations.emplace(r, options.lia.variance);
+    equations->restore_state(reader, nullptr);
+    return;
+  }
+  store = std::make_shared<SharingPairStore>();
+  store->restore_state(reader);
+  if (store->path_count() != r.rows()) {
+    throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
+                              "pair store path count != routing rows");
+  }
+  pair_accumulator.emplace(store, r.rows(), accumulator_options(options));
+  pair_accumulator->restore_state(reader);
+  equations.emplace(r, options.lia.variance, store);
+  equations->restore_state(reader, store);
 }
 
 LiaMonitor::LiaMonitor(LiaMonitor&&) = default;
@@ -166,17 +224,17 @@ void LiaMonitor::publish_telemetry() {
   t.links->set(static_cast<double>(r_.cols()));
   t.active_paths->set(static_cast<double>(active_path_count()));
   t.window_fill->set(static_cast<double>(window_fill()));
-  if (equations_) {
-    t.rank1_updates->set(equations_->rank1_updates());
-    t.refactorizations->set(equations_->refactorizations());
-    t.pin_updates->set(equations_->pin_updates());
-    t.pcg_iterations->set(equations_->refine_iterations());
-    t.downdate_fallbacks->set(equations_->downdate_fallbacks());
-    t.links_grown->set(equations_->links_grown());
-    t.links_pinned->set(static_cast<double>(equations_->links_pinned()));
-    t.pending_flips->set(static_cast<double>(equations_->pending_flips()));
+  if (const auto& eqs = stack_.equations) {
+    t.rank1_updates->set(eqs->rank1_updates());
+    t.refactorizations->set(eqs->refactorizations());
+    t.pin_updates->set(eqs->pin_updates());
+    t.pcg_iterations->set(eqs->refine_iterations());
+    t.downdate_fallbacks->set(eqs->downdate_fallbacks());
+    t.links_grown->set(eqs->links_grown());
+    t.links_pinned->set(static_cast<double>(eqs->links_pinned()));
+    t.pending_flips->set(static_cast<double>(eqs->pending_flips()));
   }
-  if (store_) t.pairs->set(store_->pair_count());
+  if (stack_.store) t.pairs->set(stack_.store->pair_count());
   if (variance_) {
     t.equations_used->set(static_cast<double>(variance_->equations_used));
     t.equations_dropped->set(static_cast<double>(variance_->equations_dropped));
@@ -186,21 +244,22 @@ void LiaMonitor::publish_telemetry() {
 
 std::size_t LiaMonitor::window_fill() const {
   if (engine_ != MonitorEngine::kStreaming) return window_.size();
-  return pair_accumulator_ ? pair_accumulator_->count()
-                           : accumulator_->count();
+  if (stack_.pair_accumulator) return stack_.pair_accumulator->count();
+  return stack_.accumulator ? stack_.accumulator->count() : 0;
 }
 
 const stats::CovarianceSource& LiaMonitor::covariance_source() const {
-  if (pair_accumulator_) return *pair_accumulator_;
-  return *accumulator_;
+  if (stack_.pair_accumulator) return *stack_.pair_accumulator;
+  return *stack_.accumulator;
 }
 
 void LiaMonitor::push_snapshot(std::span<const double> y) {
   if (engine_ == MonitorEngine::kStreaming) {
-    if (pair_accumulator_) {
-      pair_accumulator_->push(y);
+    ensure_stack();
+    if (stack_.pair_accumulator) {
+      stack_.pair_accumulator->push(y);
     } else {
-      accumulator_->push(y);
+      stack_.accumulator->push(y);
     }
     return;
   }
@@ -242,19 +301,20 @@ void LiaMonitor::set_path_active(std::size_t path, bool active) {
   // Phase 2 must never run against a stale active set: force a relearn at
   // the next diagnosing tick.
   since_learn_ = options_.relearn_every;
-  if (engine_ == MonitorEngine::kStreaming) {
-    equations_->set_path_live(path, active);
-    if (pair_accumulator_) {
+  // An unbuilt stack replays the ledger when it is built (make_stack).
+  if (stack_.equations) {
+    stack_.equations->set_path_live(path, active);
+    if (stack_.pair_accumulator) {
       if (active) {
-        pair_accumulator_->activate_path(path);
+        stack_.pair_accumulator->activate_path(path);
       } else {
-        pair_accumulator_->retire_path(path);
+        stack_.pair_accumulator->retire_path(path);
       }
     } else {
       if (active) {
-        accumulator_->activate_path(path);
+        stack_.accumulator->activate_path(path);
       } else {
-        accumulator_->retire_path(path);
+        stack_.accumulator->retire_path(path);
       }
     }
   }
@@ -276,6 +336,9 @@ std::size_t LiaMonitor::add_paths(std::vector<std::vector<std::uint32_t>> rows,
   if (rows.empty()) {
     throw std::invalid_argument("add_paths needs at least one row");
   }
+  // Growth extends a built stack (fresh links enter through bordered
+  // growth), so build it over the pre-growth routing first.
+  ensure_stack();
   const std::size_t index = r_.rows();
   const std::size_t count = rows.size();
   r_.append_rows(new_links, std::move(rows));  // validates the rows
@@ -286,12 +349,12 @@ std::size_t LiaMonitor::add_paths(std::vector<std::vector<std::uint32_t>> rows,
   if (engine_ == MonitorEngine::kStreaming) {
     // Order matters with a shared store: the equations grow the link basis
     // and the store, then the accumulator aligns its pair values to it.
-    equations_->grow_links(new_links);
-    equations_->add_paths(r_, count);
-    if (pair_accumulator_) {
-      pair_accumulator_->add_paths(count);
+    stack_.equations->grow_links(new_links);
+    stack_.equations->add_paths(r_, count);
+    if (stack_.pair_accumulator) {
+      stack_.pair_accumulator->add_paths(count);
     } else {
-      accumulator_->add_paths(count);
+      stack_.accumulator->add_paths(count);
     }
   }
   if (obs_) obs_->registry->note("monitor.grow");
@@ -315,8 +378,8 @@ void LiaMonitor::rebuild_active() {
 void LiaMonitor::relearn() {
   rebuild_active();
   if (engine_ == MonitorEngine::kStreaming) {
-    equations_->refresh(covariance_source());
-    variance_ = equations_->solve();
+    stack_.equations->refresh(covariance_source());
+    variance_ = stack_.equations->solve();
   } else {
     // Batch reference: estimate from the active paths whose window entries
     // are all real measurements — the exact set whose pairs the streaming
@@ -421,14 +484,11 @@ void LiaMonitor::save_state(io::CheckpointWriter& writer) const {
   writer.boolean(variance_.has_value());
   if (variance_) save_estimate(writer, *variance_);
   if (engine_ == MonitorEngine::kStreaming) {
-    const bool shared_store = store_ != nullptr;
-    if (shared_store) store_->save_state(writer);
-    if (pair_accumulator_) {
-      pair_accumulator_->save_state(writer);
+    if (stack_.equations) {
+      stack_.save_state(writer);
     } else {
-      accumulator_->save_state(writer);
+      make_stack().save_state(writer);
     }
-    equations_->save_state(writer, shared_store);
   } else {
     writer.usize(window_.size());
     for (const auto& y : window_) writer.doubles(y);
@@ -504,33 +564,10 @@ void LiaMonitor::restore_state(io::CheckpointReader& reader) {
 
   // Reconstruct the engine stack over the restored routing, restore its
   // serialized state into the fresh objects, and only then commit.
-  std::shared_ptr<SharingPairStore> store;
-  std::optional<stats::StreamingMoments> acc;
-  std::optional<PairMoments> pair_acc;
-  std::optional<StreamingNormalEquations> equations;
+  Stack stack;
   std::deque<linalg::Vector> batch_window;
   if (engine_ == MonitorEngine::kStreaming) {
-    const stats::StreamingMomentsOptions accumulator_options{
-        .window = options_.window,
-        .refresh_every = options_.refresh_every,
-        .threads = options_.lia.variance.threads};
-    if (options_.accumulator == CovarianceAccumulator::kSharingPairs) {
-      store = std::make_shared<SharingPairStore>();
-      store->restore_state(reader);
-      if (store->path_count() != nrows) {
-        throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
-                                  "pair store path count != routing rows");
-      }
-      pair_acc.emplace(store, nrows, accumulator_options);
-      pair_acc->restore_state(reader);
-      equations.emplace(*new_r, options_.lia.variance, store);
-      equations->restore_state(reader, store);
-    } else {
-      acc.emplace(nrows, accumulator_options);
-      acc->restore_state(reader);
-      equations.emplace(*new_r, options_.lia.variance);
-      equations->restore_state(reader, nullptr);
-    }
+    stack.restore_state(reader, *new_r, options_);
   } else {
     const std::size_t stored = reader.usize();
     if (stored > options_.window) {
@@ -557,10 +594,7 @@ void LiaMonitor::restore_state(io::CheckpointReader& reader) {
   active_rows_.clear();
   active_r_.reset();
   window_ = std::move(batch_window);
-  store_ = std::move(store);
-  accumulator_ = std::move(acc);
-  pair_accumulator_ = std::move(pair_acc);
-  equations_ = std::move(equations);
+  stack_ = std::move(stack);
   variance_ = std::move(estimate);
   elimination_.reset();
   if (variance_) {

@@ -136,8 +136,11 @@ class LiaMonitor {
   /// relearn_every == 0, or an inconsistent accumulator configuration.
   /// Keep-all streaming configurations assemble G here (O(nc^2));
   /// drop-negative with the dense accumulator defers its sharing-pair
-  /// store to the first relearn tick, while kSharingPairs builds it here
-  /// (the accumulator indexes it from the first snapshot on).
+  /// store to the first relearn tick.  kSharingPairs builds nothing here:
+  /// its pair store, PairMoments and normal equations are built at the
+  /// first call that needs them (observe or add_paths), and
+  /// restore_state installs the loaded ones instead, so a monitor that is
+  /// constructed only to be restored never builds a store.
   explicit LiaMonitor(linalg::SparseBinaryMatrix r, MonitorOptions options = {});
   LiaMonitor(LiaMonitor&&);
   LiaMonitor& operator=(LiaMonitor&&);
@@ -228,9 +231,10 @@ class LiaMonitor {
   }
   /// The streaming engine's incrementally maintained Phase-1 system, for
   /// factor-cache diagnostics (refactorizations, rank-1 up/downdates, pair
-  /// store size); nullptr when the batch engine is driving.
+  /// store size); nullptr when the batch engine is driving, and for
+  /// kSharingPairs until its first snapshot (or restore) builds the stack.
   [[nodiscard]] const StreamingNormalEquations* streaming_equations() const {
-    return equations_ ? &*equations_ : nullptr;
+    return stack_.equations ? &*stack_.equations : nullptr;
   }
   [[nodiscard]] const linalg::SparseBinaryMatrix& routing() const {
     return r_;
@@ -246,6 +250,10 @@ class LiaMonitor {
   // elimination is NOT serialized — it is a pure function of (active
   // routing, variances) and is recomputed on restore, bit-identically.
   //
+  // A kSharingPairs monitor saved before its first snapshot serializes the
+  // stack its first use would build, so the image does not depend on when
+  // the stack was built.
+  //
   // restore_state targets a monitor constructed with the SAME options and
   // the same *initial* routing matrix (paths appended mid-run are replayed
   // from the checkpoint); it validates a configuration fingerprint first
@@ -259,6 +267,26 @@ class LiaMonitor {
 
  private:
   struct Telemetry;  // pre-resolved metric handles (monitor.cpp)
+
+  /// The streaming engine's state: the covariance accumulator (dense or
+  /// pair-indexed), the incrementally maintained normal equations, and
+  /// under kSharingPairs the pair store the two share.
+  struct Stack {
+    std::shared_ptr<SharingPairStore> store;  // kSharingPairs only
+    std::optional<stats::StreamingMoments> accumulator;
+    std::optional<PairMoments> pair_accumulator;  // kSharingPairs only
+    std::optional<StreamingNormalEquations> equations;
+    void save_state(io::CheckpointWriter& writer) const;
+    /// Fills an empty stack from `reader` over the restored routing `r`.
+    void restore_state(io::CheckpointReader& reader,
+                       const linalg::SparseBinaryMatrix& r,
+                       const MonitorOptions& options);
+  };
+
+  /// A fresh stack over the current routing and activation ledger.
+  [[nodiscard]] Stack make_stack() const;
+  /// Builds the stack at its first use (no-op once built).
+  void ensure_stack();
 
   void relearn();
   void rebuild_active();
@@ -280,11 +308,8 @@ class LiaMonitor {
   linalg::SparseBinaryMatrix r_;  // authoritative (grows under add_path)
   // Batch engine state.
   std::deque<linalg::Vector> window_;
-  // Streaming engine state.
-  std::shared_ptr<SharingPairStore> store_;  // kSharingPairs only
-  std::optional<stats::StreamingMoments> accumulator_;
-  std::optional<PairMoments> pair_accumulator_;  // kSharingPairs only
-  std::optional<StreamingNormalEquations> equations_;
+  // Streaming engine state; empty until first use under kSharingPairs.
+  Stack stack_;
   // Activation ledger and the active-row submatrix Phase 2 runs on.
   std::vector<std::uint8_t> active_;
   std::vector<std::size_t> activated_tick_;  // ticks_ at last activation

@@ -1,92 +1,145 @@
 #include "net/fluttering.hpp"
 
 #include <algorithm>
-#include <map>
-#include <unordered_map>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
 
 namespace losstomo::net {
 
 namespace {
 
-// True when paths a and b violate T.2.  The shared edges must appear as a
-// single contiguous run at identical relative order on both paths.
-bool pair_flutters(const Path& a, const Path& b) {
-  // Positions of b's edges for O(1) lookup (never iterated, so hash order
-  // cannot leak into the result).
-  std::unordered_map<EdgeId, std::size_t> pos_b;
-  pos_b.reserve(b.edges.size());
-  for (std::size_t i = 0; i < b.edges.size(); ++i) pos_b[b.edges[i]] = i;
+// Edge -> path incidence in CSR form: the paths through edge e are
+// paths[offsets[e] .. offsets[e + 1]), ascending (filled in path order).
+struct EdgeIncidence {
+  std::vector<std::size_t> offsets;
+  std::vector<std::uint32_t> paths;
+};
 
-  // Collect shared edge positions in a-order.
-  std::vector<std::pair<std::size_t, std::size_t>> shared;  // (pos_a, pos_b)
-  for (std::size_t i = 0; i < a.edges.size(); ++i) {
-    const auto it = pos_b.find(a.edges[i]);
-    if (it != pos_b.end()) shared.emplace_back(i, it->second);
+EdgeIncidence edge_incidence(const std::vector<Path>& paths) {
+  std::size_t edges = 0;
+  for (const auto& p : paths) {
+    for (const auto e : p.edges) {
+      edges = std::max(edges, static_cast<std::size_t>(e) + 1);
+    }
   }
-  if (shared.size() < 2) return false;
+  EdgeIncidence inc;
+  inc.offsets.assign(edges + 1, 0);
+  for (const auto& p : paths) {
+    for (const auto e : p.edges) ++inc.offsets[e + 1];
+  }
+  for (std::size_t e = 0; e < edges; ++e) inc.offsets[e + 1] += inc.offsets[e];
+  inc.paths.resize(inc.offsets.back());
+  std::vector<std::size_t> next(inc.offsets.begin(), inc.offsets.end() - 1);
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    for (const auto e : paths[i].edges) {
+      // Lists fill in path order, so a repeat within path i is the last
+      // entry already written for this edge.
+      if (next[e] > inc.offsets[e] && inc.paths[next[e] - 1] == i) {
+        throw std::invalid_argument("path " + std::to_string(i) +
+                                    " repeats edge " + std::to_string(e));
+      }
+      inc.paths[next[e]++] = static_cast<std::uint32_t>(i);
+    }
+  }
+  return inc;
+}
 
-  // Contiguous on a: positions are consecutive by construction order.
-  for (std::size_t i = 1; i < shared.size(); ++i) {
-    if (shared[i].first != shared[i - 1].first + 1) return true;
-    // Same segment must advance in lockstep on b.
-    if (shared[i].second != shared[i - 1].second + 1) return true;
-  }
-  return false;
+// True when the `count` edges a[first .. first + count) run in the same
+// order as one contiguous segment of b.  For simple paths sharing exactly
+// `count` edges, of which a[first] is the first on a, this is T.2's
+// condition: the shared edges are consecutive on a and advance in lockstep
+// on b.
+bool one_shared_segment(const std::vector<EdgeId>& a, std::size_t first,
+                        std::size_t count, const std::vector<EdgeId>& b) {
+  const auto at = std::find(b.begin(), b.end(), a[first]);
+  const auto pb = static_cast<std::size_t>(at - b.begin());
+  const auto a_begin = a.begin() + static_cast<std::ptrdiff_t>(first);
+  return pb + count <= b.size() &&
+         std::equal(a_begin, a_begin + static_cast<std::ptrdiff_t>(count), at);
 }
 
 }  // namespace
 
 std::vector<FlutteringViolation> detect_fluttering(
     const std::vector<Path>& paths) {
-  // Candidate pairs: only paths sharing at least two edges can violate T.2.
-  // Ordered map: the walk below feeds share_count in edge order, keeping the
-  // whole pass independent of hash layout (cold path, determinism wins).
-  std::map<EdgeId, std::vector<std::uint32_t>> edge_paths;
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    for (const auto e : paths[i].edges) {
-      edge_paths[e].push_back(static_cast<std::uint32_t>(i));
-    }
-  }
-  std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t> share_count;
-  for (const auto& [edge, list] : edge_paths) {
-    for (std::size_t x = 0; x < list.size(); ++x) {
-      for (std::size_t y = x + 1; y < list.size(); ++y) {
-        ++share_count[{list[x], list[y]}];
+  const EdgeIncidence inc = edge_incidence(paths);
+  const std::size_t n = paths.size();
+  // Per-partner scratch for the path being scanned, invalidated by stamp
+  // (stamp[j] == a + 1 while scanning path a) instead of cleared.
+  std::vector<std::size_t> stamp(n, 0);
+  std::vector<std::uint32_t> shared(n, 0);  // edges shared with path a
+  std::vector<std::uint32_t> first(n, 0);   // a-position of the first one
+  std::vector<std::uint32_t> partners;
+  std::vector<FlutteringViolation> out;
+  for (std::size_t a = 0; a < n; ++a) {
+    const auto& edges = paths[a].edges;
+    partners.clear();
+    for (std::size_t k = 0; k < edges.size(); ++k) {
+      const auto begin = inc.paths.begin() +
+                         static_cast<std::ptrdiff_t>(inc.offsets[edges[k]]);
+      const auto end = inc.paths.begin() +
+                       static_cast<std::ptrdiff_t>(inc.offsets[edges[k] + 1]);
+      // a itself is on the list, so the partners j > a are the suffix past it.
+      for (auto it = std::upper_bound(begin, end, a); it != end; ++it) {
+        const std::uint32_t j = *it;
+        if (stamp[j] != a + 1) {
+          stamp[j] = a + 1;
+          shared[j] = 1;
+          first[j] = static_cast<std::uint32_t>(k);
+          partners.push_back(j);
+        } else {
+          ++shared[j];
+        }
       }
     }
-  }
-  std::vector<FlutteringViolation> out;
-  for (const auto& [pair, count] : share_count) {
-    if (count < 2) continue;
-    if (pair_flutters(paths[pair.first], paths[pair.second])) {
-      out.push_back({pair.first, pair.second});
+    // Only paths sharing at least two edges can violate T.2.
+    std::sort(partners.begin(), partners.end());
+    for (const auto b : partners) {
+      if (shared[b] < 2) continue;
+      if (!one_shared_segment(edges, first[b], shared[b], paths[b].edges)) {
+        out.push_back({a, b});
+      }
     }
   }
   return out;
 }
 
 SanitizeResult remove_fluttering_paths(std::vector<Path> paths) {
+  // T.2 is a property of path pairs, so removing a path deletes exactly its
+  // own violations and creates none: one detection serves the whole greedy
+  // loop, which only decrements the removed path's partners.
+  const auto violations = detect_fluttering(paths);
+  const std::size_t n = paths.size();
+  std::vector<std::size_t> involvement(n, 0);
+  std::vector<std::vector<std::size_t>> partners(n);
+  for (const auto& v : violations) {
+    ++involvement[v.path_a];
+    ++involvement[v.path_b];
+    partners[v.path_a].push_back(v.path_b);
+    partners[v.path_b].push_back(v.path_a);
+  }
   SanitizeResult result;
-  std::vector<std::size_t> original(paths.size());
-  for (std::size_t i = 0; i < paths.size(); ++i) original[i] = i;
-
-  while (true) {
-    const auto violations = detect_fluttering(paths);
-    if (violations.empty()) break;
-    std::vector<std::size_t> involvement(paths.size(), 0);
-    for (const auto& v : violations) {
-      ++involvement[v.path_a];
-      ++involvement[v.path_b];
-    }
-    const std::size_t worst = static_cast<std::size_t>(
+  std::vector<std::uint8_t> removed(n, 0);
+  for (std::size_t left = violations.size(); left > 0;) {
+    // Removed paths sit at zero, so the first maximum is the lowest
+    // surviving index among the most involved.
+    const auto worst = static_cast<std::size_t>(
         std::max_element(involvement.begin(), involvement.end()) -
         involvement.begin());
-    result.removed.push_back(original[worst]);
-    paths.erase(paths.begin() + static_cast<std::ptrdiff_t>(worst));
-    original.erase(original.begin() + static_cast<std::ptrdiff_t>(worst));
+    left -= involvement[worst];
+    involvement[worst] = 0;
+    removed[worst] = 1;
+    result.removed.push_back(worst);
+    for (const auto p : partners[worst]) {
+      if (!removed[p]) --involvement[p];
+    }
   }
-  result.kept = std::move(original);
-  result.paths = std::move(paths);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (removed[i]) continue;
+    result.kept.push_back(i);
+    result.paths.push_back(std::move(paths[i]));
+  }
   return result;
 }
 

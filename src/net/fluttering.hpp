@@ -22,6 +22,16 @@ struct FlutteringViolation {
 
 /// Returns all path pairs that violate T.2: pairs sharing >= 2 edges whose
 /// shared edges do not form one identical contiguous segment on both paths.
+/// Violations come in ascending (path_a, path_b) order with path_a < path_b.
+///
+/// Precondition: no path repeats an edge (simple paths, as routing
+/// produces); throws std::invalid_argument otherwise.
+///
+/// Cost: one pass per path over the paths sharing each of its edges, with
+/// a reused per-partner counter array — O(sum over edges of d_e^2) counter
+/// updates for d_e paths through edge e, plus a sort of each path's
+/// partners and an O(|a| + |b|) segment check per pair sharing >= 2 edges.
+/// Memory is O(edges + paths + total path length); no per-pair state.
 std::vector<FlutteringViolation> detect_fluttering(
     const std::vector<Path>& paths);
 
@@ -34,7 +44,9 @@ struct SanitizeResult {
 
 /// Greedily removes the path involved in the most violations until the set
 /// satisfies T.2 ("we keep only the measurements on one path and ignore the
-/// others", paper §3.1).
+/// others", paper §3.1); ties go to the lowest original index.  Detects
+/// once, then updates the involvement counts per removal (removing a path
+/// cannot create a violation).  Same precondition as detect_fluttering.
 SanitizeResult remove_fluttering_paths(std::vector<Path> paths);
 
 }  // namespace losstomo::net

@@ -9,6 +9,7 @@
 
 #include "core/monitor.hpp"
 #include "linalg/matrix.hpp"
+#include "net/routing_matrix.hpp"
 #include "stats/rng.hpp"
 #include "test_util.hpp"
 
@@ -219,6 +220,48 @@ TEST(MonitorChurn, PairAccumulatorEngineMatchesDense) {
   }
   EXPECT_GT(compared, 15u);
   ASSERT_NE(pairs.streaming_equations()->pair_store(), nullptr);
+}
+
+// The pair stack is built at the first snapshot, so churn before it only
+// touches the activation ledger and is replayed when the stack is built.
+// The dense stack is built at construction and takes the same calls
+// directly: the two must keep agreeing.
+TEST(MonitorChurn, PairStackReplaysChurnBeforeFirstSnapshot) {
+  const auto r = testing::make_two_beacon_network();
+  const net::ReducedRoutingMatrix rrm(r.graph, r.paths);
+  const auto& m = rrm.matrix();
+  const auto options = churn_options(MonitorEngine::kStreaming);
+  LiaMonitor dense(m, options);
+  auto pair_options = options;
+  pair_options.accumulator = CovarianceAccumulator::kSharingPairs;
+  LiaMonitor pairs(m, pair_options);
+  for (auto* monitor : {&dense, &pairs}) {
+    monitor->set_path_active(0, false);
+    monitor->set_path_active(2, false);
+    monitor->set_path_active(2, true);
+  }
+  EXPECT_EQ(pairs.streaming_equations(), nullptr);
+
+  stats::Rng rng(22);
+  std::size_t compared = 0;
+  for (std::size_t l = 0; l < 40; ++l) {
+    if (l == 20) {
+      dense.set_path_active(0, true);
+      pairs.set_path_active(0, true);
+    }
+    auto y = synthetic_snapshot(m, rng);
+    if (!dense.path_active(0)) y[0] = 0.0;
+    const auto from_dense = dense.observe(y);
+    const auto from_pairs = pairs.observe(y);
+    ASSERT_NE(pairs.streaming_equations(), nullptr);
+    ASSERT_EQ(from_dense.has_value(), from_pairs.has_value()) << l;
+    if (!from_dense) continue;
+    ++compared;
+    EXPECT_LE(linalg::max_abs_diff(from_dense->loss, from_pairs->loss), 1e-10)
+        << "tick " << l;
+  }
+  EXPECT_GT(compared, 25u);
+  EXPECT_EQ(dense.variances().links_pinned, pairs.variances().links_pinned);
 }
 
 }  // namespace

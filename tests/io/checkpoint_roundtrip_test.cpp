@@ -17,6 +17,7 @@
 #include "core/variance_estimator.hpp"
 #include "io/checkpoint.hpp"
 #include "net/routing_matrix.hpp"
+#include "obs/registry.hpp"
 #include "sim/probe_sim.hpp"
 #include "stats/moments.hpp"
 #include "stats/rng.hpp"
@@ -351,6 +352,92 @@ TEST(CheckpointRoundTrip, MonitorRejectsConfigMismatchIntact) {
     for (const auto& y : stream) (void)target.observe(y);
     EXPECT_TRUE(target.warmed_up());
   }
+}
+
+// The pair stack (store, PairMoments, normal equations) is built at the
+// first call that needs it; a restore installs the loaded stack instead.
+TEST(CheckpointRoundTrip, MonitorSharingPairsRestoreInstallsTheLoadedStack) {
+  const auto net = losstomo::testing::make_two_beacon_network();
+  const net::ReducedRoutingMatrix rrm(net.graph, net.paths);
+  const auto options =
+      monitor_options(core::CovarianceAccumulator::kSharingPairs,
+                      core::MonitorEngine::kStreaming);
+  const auto stream = make_stream(2 * options.window, 271);
+  core::LiaMonitor original(rrm.matrix(), options);
+  for (const auto& y : stream) (void)original.observe(y);
+  const auto image = image_of(original);
+
+  core::LiaMonitor restored(rrm.matrix(), options);
+  EXPECT_EQ(restored.streaming_equations(), nullptr);  // nothing built yet
+  restore_from_image(restored, image);
+  const auto* eqs = restored.streaming_equations();
+  ASSERT_NE(eqs, nullptr);
+  ASSERT_NE(eqs->pair_store(), nullptr);
+  EXPECT_EQ(eqs->pair_store()->pair_count(),
+            original.streaming_equations()->pair_store()->pair_count());
+  EXPECT_EQ(image_of(restored), image);
+}
+
+TEST(CheckpointRoundTrip, MonitorSharingPairsCheckpointBeforeFirstSnapshot) {
+  const auto net = losstomo::testing::make_two_beacon_network();
+  const net::ReducedRoutingMatrix rrm(net.graph, net.paths);
+  const auto options =
+      monitor_options(core::CovarianceAccumulator::kSharingPairs,
+                      core::MonitorEngine::kStreaming);
+  auto stream = make_stream(3 * options.window, 272);
+  for (auto& y : stream) y[1] = 0.0;  // path 1 stays retired throughout
+
+  core::LiaMonitor original(rrm.matrix(), options);
+  original.set_path_active(1, false);
+  const auto image = image_of(original);
+  EXPECT_EQ(original.streaming_equations(), nullptr);  // saving built nothing
+  core::LiaMonitor restored(rrm.matrix(), options);
+  restore_from_image(restored, image);
+  EXPECT_FALSE(restored.path_active(1));
+  EXPECT_EQ(image_of(restored), image);
+
+  std::size_t diagnosed = 0;
+  for (std::size_t l = 0; l < stream.size(); ++l) {
+    const auto a = original.observe(stream[l]);
+    const auto b = restored.observe(stream[l]);
+    ASSERT_EQ(a.has_value(), b.has_value()) << "tick " << l;
+    if (!a) continue;
+    ++diagnosed;
+    ASSERT_EQ(a->loss.size(), b->loss.size());
+    for (std::size_t k = 0; k < a->loss.size(); ++k) {
+      EXPECT_EQ(a->loss[k], b->loss[k]) << "link " << k << " tick " << l;
+    }
+  }
+  EXPECT_GT(diagnosed, options.window);
+  EXPECT_EQ(image_of(restored), image_of(original));
+}
+
+TEST(CheckpointRoundTrip, MonitorPairsCounterAfterFirstSnapshotAndRestore) {
+  const auto net = losstomo::testing::make_two_beacon_network();
+  const net::ReducedRoutingMatrix rrm(net.graph, net.paths);
+  const std::uint64_t pairs =
+      core::SharingPairStore::build(rrm.matrix(), 1).pair_count();
+  ASSERT_GT(pairs, 0u);
+  auto options = monitor_options(core::CovarianceAccumulator::kSharingPairs,
+                                 core::MonitorEngine::kStreaming);
+  const auto stream = make_stream(options.window + 3, 273);
+
+  obs::Registry registry;
+  options.telemetry = &registry;
+  core::LiaMonitor original(rrm.matrix(), options);
+  EXPECT_EQ(registry.counter("monitor.pairs").value(), 0u);  // no store yet
+  (void)original.observe(stream[0]);
+  EXPECT_EQ(registry.counter("monitor.pairs").value(), pairs);
+  for (std::size_t l = 1; l < stream.size(); ++l) {
+    (void)original.observe(stream[l]);
+  }
+  EXPECT_EQ(registry.counter("monitor.pairs").value(), pairs);
+
+  obs::Registry restored_registry;
+  options.telemetry = &restored_registry;
+  core::LiaMonitor restored(rrm.matrix(), options);
+  restore_from_image(restored, image_of(original));
+  EXPECT_EQ(restored_registry.counter("monitor.pairs").value(), pairs);
 }
 
 }  // namespace
