@@ -7,6 +7,7 @@
 //                              [overlay_hosts=72] [overlay_m=50]
 //                              [overlay_ticks=12] [grow_hosts=40]
 //                              [grow_batch=512] [grow_m=50]
+//                              [scenarios=<dir>]
 //                              [threads=0|1,2,8] [--json <path>]
 //
 // Three instances, all driven through scenario::ScenarioRunner:
@@ -31,9 +32,16 @@
 //    reallocation cycles), the event-tick latency through the runner, and
 //    what lazy simulation saves while the reserve pool lies dormant.
 //
+// With `scenarios=<dir>` (e.g. scenarios=scenarios), every *.scn script in
+// the directory also runs once under the lia_cli defaults (streaming engine,
+// dense accumulator), recording its diagnoses, refactorizations and
+// Cholesky factor attempts (scn_<name>_*; thread-invariant, so unsuffixed).
+//
 // `threads=1,2,8` re-records every figure per worker count in one run
 // (keys suffixed _t<N>); the default single-entry sweep keeps the
 // unsuffixed keys.
+#include <algorithm>
+#include <filesystem>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -41,6 +49,7 @@
 #include "common.hpp"
 #include "core/monitor.hpp"
 #include "io/checkpoint.hpp"
+#include "io/scenario_io.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 
@@ -52,6 +61,7 @@ struct ChurnFigures {
   scenario::ScenarioOutcome outcome;
   std::size_t np = 0, nc = 0;
   std::size_t refactorizations = 0;
+  std::size_t factor_attempts = 0;
   std::size_t rank1_updates = 0;
   std::size_t pin_updates = 0;
   std::size_t refine_iterations = 0;
@@ -73,6 +83,7 @@ ChurnFigures run_scenario(const scenario::ScenarioSpec& spec,
   out.outcome = runner.run();
   if (const auto* eqs = runner.monitor().streaming_equations()) {
     out.refactorizations = eqs->refactorizations();
+    out.factor_attempts = eqs->factor_attempts();
     out.rank1_updates = eqs->rank1_updates();
     out.pin_updates = eqs->pin_updates();
     out.refine_iterations = eqs->refine_iterations();
@@ -193,6 +204,7 @@ int main(int argc, char** argv) {
   const auto grow_hosts = args.get_size("grow_hosts", 40);
   const auto grow_batch = args.get_size("grow_batch", 512);
   const auto grow_m = args.get_size("grow_m", 50);
+  const auto scenario_dir = args.get_string("scenarios", "");
   const auto json_path = args.get_string("json", "");
   const bench::ThreadSweep sweep(args);
   args.finish();
@@ -386,6 +398,32 @@ int main(int argc, char** argv) {
     table.print(std::cout);
     std::cout << '\n';
   });
+
+  if (!scenario_dir.empty()) {
+    // The shipped scripts: how often each refactorizes, and how many
+    // factorizations (jitter-ladder attempts) those refactorizations cost.
+    std::vector<std::filesystem::path> files;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(scenario_dir)) {
+      if (entry.path().extension() == ".scn") files.push_back(entry.path());
+    }
+    std::sort(files.begin(), files.end());
+    util::Table table({"scenario", "diagnosed", "refactorizations",
+                       "factor attempts"});
+    for (const auto& file : files) {
+      const auto fig = run_scenario(io::load_scenario(file.string()), {});
+      const std::string name = file.stem().string();
+      table.add_row({name, std::to_string(fig.outcome.diagnosed),
+                     std::to_string(fig.refactorizations),
+                     std::to_string(fig.factor_attempts)});
+      report.set("scn_" + name + "_diagnosed", fig.outcome.diagnosed);
+      report.set("scn_" + name + "_refactorizations", fig.refactorizations);
+      report.set("scn_" + name + "_factor_attempts", fig.factor_attempts);
+    }
+    std::cout << "== shipped scenarios (" << scenario_dir << ") ==\n";
+    table.print(std::cout);
+    std::cout << '\n';
+  }
 
   std::cout << "The pair-indexed accumulator maintains only the sharing-pair "
                "covariance entries, so an overlay steady tick is O(np + "

@@ -23,6 +23,7 @@ struct LiaMonitor::Telemetry {
   obs::Counter* ticks;
   obs::Counter* rank1_updates;
   obs::Counter* refactorizations;
+  obs::Counter* factor_attempts;
   obs::Counter* pin_updates;
   obs::Counter* pcg_iterations;
   obs::Counter* downdate_fallbacks;
@@ -48,6 +49,7 @@ struct LiaMonitor::Telemetry {
         ticks(&r.counter("monitor.ticks")),
         rank1_updates(&r.counter("monitor.rank1_updates")),
         refactorizations(&r.counter("monitor.refactorizations")),
+        factor_attempts(&r.counter("monitor.factor_attempts")),
         pin_updates(&r.counter("monitor.pin_updates")),
         pcg_iterations(&r.counter("monitor.pcg_iterations")),
         downdate_fallbacks(&r.counter("monitor.downdate_fallbacks")),
@@ -140,12 +142,6 @@ LiaMonitor::LiaMonitor(linalg::SparseBinaryMatrix r, MonitorOptions options)
   }
   active_.assign(r_.rows(), 1);
   activated_tick_.assign(r_.rows(), 0);
-  // The pair stack waits for its first use: a monitor built only to be
-  // restored into never pays for the store.
-  if (engine_ == MonitorEngine::kStreaming &&
-      options_.accumulator == CovarianceAccumulator::kDense) {
-    stack_ = make_stack();
-  }
   if (options_.telemetry != nullptr) {
     obs_ = std::make_unique<Telemetry>(*options_.telemetry);
     publish_telemetry();
@@ -157,19 +153,23 @@ LiaMonitor::Stack LiaMonitor::make_stack() const {
   if (options_.accumulator == CovarianceAccumulator::kDense) {
     stack.accumulator.emplace(r_.rows(), accumulator_options(options_));
     stack.equations.emplace(r_, options_.lia.variance);
-    return stack;
+  } else {
+    stack.store = std::make_shared<SharingPairStore>(
+        SharingPairStore::build(r_, options_.lia.variance.threads));
+    stack.pair_accumulator.emplace(stack.store, r_.rows(),
+                                   accumulator_options(options_));
+    stack.equations.emplace(r_, options_.lia.variance, stack.store);
   }
-  stack.store = std::make_shared<SharingPairStore>(
-      SharingPairStore::build(r_, options_.lia.variance.threads));
-  stack.pair_accumulator.emplace(stack.store, r_.rows(),
-                                 accumulator_options(options_));
-  stack.equations.emplace(r_, options_.lia.variance, stack.store);
   // Paths retired before the first snapshot: on a fresh stack retiring
   // flips nothing, so this is the state the eager calls would have left.
   for (std::size_t i = 0; i < r_.rows(); ++i) {
     if (active_[i]) continue;
     stack.equations->set_path_live(i, false);
-    stack.pair_accumulator->retire_path(i);
+    if (stack.pair_accumulator) {
+      stack.pair_accumulator->retire_path(i);
+    } else {
+      stack.accumulator->retire_path(i);
+    }
   }
   return stack;
 }
@@ -227,6 +227,7 @@ void LiaMonitor::publish_telemetry() {
   if (const auto& eqs = stack_.equations) {
     t.rank1_updates->set(eqs->rank1_updates());
     t.refactorizations->set(eqs->refactorizations());
+    t.factor_attempts->set(eqs->factor_attempts());
     t.pin_updates->set(eqs->pin_updates());
     t.pcg_iterations->set(eqs->refine_iterations());
     t.downdate_fallbacks->set(eqs->downdate_fallbacks());

@@ -134,13 +134,11 @@ class LiaMonitor {
   /// Takes the routing matrix by value (owned), so constructing from a
   /// temporary is safe.  Throws std::invalid_argument for window < 2,
   /// relearn_every == 0, or an inconsistent accumulator configuration.
-  /// Keep-all streaming configurations assemble G here (O(nc^2));
-  /// drop-negative with the dense accumulator defers its sharing-pair
-  /// store to the first relearn tick.  kSharingPairs builds nothing here:
-  /// its pair store, PairMoments and normal equations are built at the
-  /// first call that needs them (observe or add_paths), and
-  /// restore_state installs the loaded ones instead, so a monitor that is
-  /// constructed only to be restored never builds a store.
+  /// The streaming engine builds nothing here: its accumulator (dense
+  /// StreamingMoments or the pair store with PairMoments) and normal
+  /// equations are built at the first call that needs them (observe or
+  /// add_paths), and restore_state installs the loaded ones instead, so a
+  /// monitor that is constructed only to be restored never builds a stack.
   explicit LiaMonitor(linalg::SparseBinaryMatrix r, MonitorOptions options = {});
   LiaMonitor(LiaMonitor&&);
   LiaMonitor& operator=(LiaMonitor&&);
@@ -231,8 +229,8 @@ class LiaMonitor {
   }
   /// The streaming engine's incrementally maintained Phase-1 system, for
   /// factor-cache diagnostics (refactorizations, rank-1 up/downdates, pair
-  /// store size); nullptr when the batch engine is driving, and for
-  /// kSharingPairs until its first snapshot (or restore) builds the stack.
+  /// store size); nullptr when the batch engine is driving, and until the
+  /// first snapshot (or restore) builds the stack.
   [[nodiscard]] const StreamingNormalEquations* streaming_equations() const {
     return stack_.equations ? &*stack_.equations : nullptr;
   }

@@ -321,7 +321,8 @@ NormalEquations accumulate_closed_form_reference(
 // produce exactly.
 linalg::Vector solve_rank_revealing(const linalg::Matrix& g,
                                     const linalg::Vector& h,
-                                    std::size_t& pinned) {
+                                    std::size_t& pinned,
+                                    std::size_t threads) {
   const std::size_t n = g.rows();
   const linalg::PivotedCholesky pivoted(g);
   const std::size_t rank = pivoted.rank();
@@ -332,7 +333,7 @@ linalg::Vector solve_rank_revealing(const linalg::Matrix& g,
     hs[i] = h[perm[i]];
     for (std::size_t j = 0; j < rank; ++j) gs(i, j) = g(perm[i], perm[j]);
   }
-  const linalg::RegularizedCholesky chol(gs);
+  const linalg::RegularizedCholesky chol(gs, 1e-12, 6, 0.0, threads);
   const auto vs = chol.solve(hs);
   linalg::Vector v(n, 0.0);
   for (std::size_t i = 0; i < rank; ++i) v[perm[i]] = vs[i];
@@ -455,8 +456,8 @@ VarianceEstimate solve_normal_system(NormalEquations sys, VarianceMethod method,
   // compute a rounding-level "positive" pivot and sail through a plain
   // factorization; the relative pivot floor forces such systems into the
   // jitter ladder (and from there the rank-revealing fallback).
-  const linalg::RegularizedCholesky chol(sys.g, 1e-12, 6,
-                                         drop_negative ? 1e-12 : 0.0);
+  const linalg::RegularizedCholesky chol(
+      sys.g, 1e-12, 6, drop_negative ? 1e-12 : 0.0, options.threads);
   if (drop_negative && options.rank_revealing_min_attempts > 0 &&
       chol.jitter_attempts() >= options.rank_revealing_min_attempts) {
     // Equation drops left G rank-deficient beyond both the zero-diagonal
@@ -464,7 +465,7 @@ VarianceEstimate solve_normal_system(NormalEquations sys, VarianceMethod method,
     // deficient pivots instead of amplifying the jitter.
     est.method = "normal(drop-negative,rank-revealing)";
     std::size_t pinned = 0;
-    auto v = solve_rank_revealing(sys.g, sys.h, pinned);
+    auto v = solve_rank_revealing(sys.g, sys.h, pinned, options.threads);
     est.links_pinned += pinned;
     return finish(std::move(v), std::move(est));
   }
@@ -996,7 +997,8 @@ VarianceEstimate StreamingNormalEquations::solve() {
     partial.method = "streaming-normal(drop-negative,rank-revealing)";
     partial.jitter_used = 0.0;
     std::size_t extra = 0;
-    auto pinned_v = solve_rank_revealing(sys_.g, sys_.h, extra);
+    auto pinned_v =
+        solve_rank_revealing(sys_.g, sys_.h, extra, options_.threads);
     partial.links_pinned = pins_active_ + extra;
     return finish(std::move(pinned_v), std::move(partial));
   };
@@ -1044,9 +1046,11 @@ void StreamingNormalEquations::refactorize() {
   // Same pivot floor as the batch solve (see solve_normal_system): an
   // exactly-singular drop-negative G must enter the jitter ladder rather
   // than factorize on a rounding-level pivot.
-  factor_.emplace(sys_.g, 1e-12, 6, drop_negative_ ? 1e-12 : 0.0);
+  factor_.emplace(sys_.g, 1e-12, 6, drop_negative_ ? 1e-12 : 0.0,
+                  options_.threads);
   factor_dirty_ = false;
   factor_updates_ = 0;
+  factor_attempts_ += static_cast<std::size_t>(factor_->jitter_attempts()) + 1;
   // The fresh factor matches G exactly: the pending sets are moot.
   for (const std::size_t p : pending_) pending_mark_[p] = 0;
   pending_.clear();
@@ -1161,6 +1165,7 @@ void StreamingNormalEquations::save_state(io::CheckpointWriter& writer,
   }
   writer.usize(factor_updates_);
   writer.usize(refactorizations_);
+  writer.usize(factor_attempts_);
   writer.usize(rank1_updates_);
   writer.usize(pin_updates_);
   writer.usize(links_grown_);
@@ -1224,6 +1229,7 @@ void StreamingNormalEquations::restore_state(
   }
   const std::size_t factor_updates = reader.usize();
   const std::size_t refactorizations = reader.usize();
+  const std::size_t factor_attempts = reader.usize();
   const std::size_t rank1_updates = reader.usize();
   const std::size_t pin_updates = reader.usize();
   const std::size_t links_grown = reader.usize();
@@ -1305,6 +1311,7 @@ void StreamingNormalEquations::restore_state(
   factor_ = std::move(factor);
   factor_updates_ = factor_updates;
   refactorizations_ = refactorizations;
+  factor_attempts_ = factor_attempts;
   rank1_updates_ = rank1_updates;
   pin_updates_ = pin_updates;
   links_grown_ = links_grown;

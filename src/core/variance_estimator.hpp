@@ -281,6 +281,12 @@ class StreamingNormalEquations {
   [[nodiscard]] std::size_t refactorizations() const {
     return refactorizations_;
   }
+  /// Cholesky factorizations attempted by those refactorizations: the sum
+  /// of jitter_attempts() + 1 over each jitter ladder, so a refactorization
+  /// whose plain attempt failed counts 2 (or more).
+  [[nodiscard]] std::size_t factor_attempts() const {
+    return factor_attempts_;
+  }
   /// Rank-1 factor up/downdates applied so far (drop-negative only),
   /// including the pin/unpin border steps.
   [[nodiscard]] std::size_t rank1_updates() const { return rank1_updates_; }
@@ -369,6 +375,7 @@ class StreamingNormalEquations {
   std::optional<linalg::UpdatableCholesky> factor_;
   std::size_t factor_updates_ = 0;  // rank-1 steps since last refactorization
   std::size_t refactorizations_ = 0;
+  std::size_t factor_attempts_ = 0;
   std::size_t rank1_updates_ = 0;
   std::size_t pin_updates_ = 0;
   std::size_t links_grown_ = 0;

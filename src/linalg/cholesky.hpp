@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -20,17 +21,34 @@ namespace losstomo::linalg {
 
 /// Standard Cholesky (L L^T) of a symmetric positive definite matrix.
 /// Immutable after construction — concurrent solve() calls are safe.
+///
+/// Blocked contract.  The factorization is left-looking over fixed panels
+/// of 64 columns.  For a panel [j0, j0 + 64) every earlier column k < j0 is
+/// first applied to the panel's rows i >= j0, then the panel's own columns
+/// j0, j0 + 1, ... are applied in turn.  Every entry a_ij thus receives its
+/// subtractions l_ik * l_jk one at a time in ascending k, followed by the
+/// division by l_jj (or the pivot test and sqrt on the diagonal): no
+/// partial sums are formed, so the pivot that fails is the one an
+/// unblocked left-looking factorization fails at, and a failing
+/// factorization stops within the failing column's panel.  The rows below
+/// each panel's diagonal block are split over `threads` workers (0 = the
+/// library default) in fixed-size chunks, and each row runs the same code
+/// whichever worker takes it, so the factor is bit-identical at any thread
+/// count.  It is not bitwise equal to the unblocked factor this kernel
+/// replaced: that loop compiled to a different mix of fused and unfused
+/// multiply-subtracts, so the two differ in rounding only (relative
+/// Frobenius difference well under 1e-12).
 class Cholesky {
  public:
-  /// Factorizes `a` (copied; only the lower triangle is read).  O(n^3 / 3).
-  /// Preconditions: `a` square (std::invalid_argument) and SPD
+  /// Factorizes `a` (moved in; only the lower triangle is read).
+  /// O(n^3 / 3).  Preconditions: `a` square (std::invalid_argument) and SPD
   /// (std::runtime_error on a pivot at or below `min_pivot`).  The default
   /// floor of 0 accepts any positive pivot; callers factorizing matrices
   /// whose exact-arithmetic pivots can be exactly zero (integer normal
   /// equations after equation drops) pass a small absolute floor so
   /// rounding-level "positive" pivots are treated as the singularities
   /// they are instead of amplifying noise by ~1/pivot.
-  explicit Cholesky(Matrix a, double min_pivot = 0.0);
+  explicit Cholesky(Matrix a, double min_pivot = 0.0, std::size_t threads = 0);
 
   [[nodiscard]] std::size_t dim() const { return l_.rows(); }
 
@@ -44,6 +62,11 @@ class Cholesky {
   [[nodiscard]] double sqrt_det() const;
 
  private:
+  friend class RegularizedCholesky;
+  struct Factored {};
+  // Adopts an already-factored matrix (the jitter ladder's work buffer).
+  Cholesky(Matrix l, Factored) : l_(std::move(l)) {}
+
   Matrix l_;
 };
 
@@ -52,14 +75,17 @@ class Cholesky {
 /// escalating by 10x up to `max_attempts`.  Returns the jitter actually
 /// used; 0 for a clean factorization.  This is the pragmatic guard for
 /// nearly-singular normal equations produced by sampling noise.
-/// O(n^3 / 3) per attempt; immutable after construction.
+/// O(n^3 / 3) per attempt, all attempts in one reused work buffer;
+/// immutable after construction.
 class RegularizedCholesky {
  public:
   /// `min_pivot_rel` scales by the largest diagonal into the Cholesky
   /// pivot floor (0 keeps the accept-any-positive-pivot behaviour).
+  /// `threads` as for Cholesky.
   explicit RegularizedCholesky(const Matrix& a, double jitter = 1e-12,
                                int max_attempts = 6,
-                               double min_pivot_rel = 0.0);
+                               double min_pivot_rel = 0.0,
+                               std::size_t threads = 0);
 
   [[nodiscard]] Vector solve(std::span<const double> b) const;
   [[nodiscard]] double jitter_used() const { return jitter_used_; }
@@ -69,10 +95,10 @@ class RegularizedCholesky {
   /// rank-revealing fallback instead of trusting the regularized solve.
   [[nodiscard]] int jitter_attempts() const { return jitter_attempts_; }
   /// The successful factorization (of a + jitter_used * I).
-  [[nodiscard]] const Cholesky& factor() const { return holder_.front(); }
+  [[nodiscard]] const Cholesky& factor() const { return *factor_; }
 
  private:
-  std::vector<Cholesky> holder_;  // size 1; indirection for late init
+  std::optional<Cholesky> factor_;  // late init: set by the successful rung
   double jitter_used_ = 0.0;
   int jitter_attempts_ = 0;
 };
@@ -102,12 +128,14 @@ class RegularizedCholesky {
 /// Not thread-safe: update/downdate mutate the factor in place.
 class UpdatableCholesky {
  public:
-  /// Factorizes `a` (symmetric positive definite up to jitter).  Complexity
-  /// O(n^3 / 3) per attempt.  Throws std::runtime_error when even the
-  /// largest jitter fails.
+  /// Factorizes `a` (symmetric positive definite up to jitter) with the
+  /// RegularizedCholesky ladder and keeps its factor (moved, not copied).
+  /// Complexity O(n^3 / 3) per attempt.  Throws std::runtime_error when
+  /// even the largest jitter fails.
   explicit UpdatableCholesky(const Matrix& a, double jitter = 1e-12,
                              int max_attempts = 6,
-                             double min_pivot_rel = 0.0);
+                             double min_pivot_rel = 0.0,
+                             std::size_t threads = 0);
 
   /// Reconstructs a factor from previously extracted state — `l` a valid
   /// lower-triangular factor plus the jitter diagnostics that produced it —

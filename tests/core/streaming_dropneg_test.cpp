@@ -11,6 +11,8 @@
 
 #include "core/monitor.hpp"
 #include "core/variance_estimator.hpp"
+#include "io/checkpoint.hpp"
+#include "sim/probe_sim.hpp"
 #include "stats/covariance_source.hpp"
 #include "test_util.hpp"
 
@@ -320,6 +322,70 @@ TEST(StreamingDropNegative, PairStoreIsBuiltLazily) {
   ASSERT_NE(eqs.pair_store(), nullptr);
   EXPECT_GT(eqs.pair_store()->pair_count(), 0u);
   EXPECT_GT(eqs.pair_store()->bytes(), 0u);
+}
+
+// A drop-negative tree monitor whose G is left exactly singular by the
+// drops: every refactorization's plain attempt fails and the first jitter
+// rung succeeds, so factor_attempts() counts two per refactorization —
+// the double factorization the counter exists to make visible.  The
+// count is serialized state: identical at any thread count and across a
+// checkpoint/restore.
+TEST(StreamingDropNegative, FactorAttemptsCountTheJitterLadder) {
+  stats::Rng topo_rng(77);
+  const auto tree =
+      topology::make_random_tree({.nodes = 300, .max_branching = 8}, topo_rng);
+  const net::ReducedRoutingMatrix rrm(tree.graph, topology::tree_paths(tree));
+  sim::ScenarioConfig config;
+  config.p = 0.1;
+  config.probes_per_snapshot = 800;
+  sim::SnapshotSimulator simulator(tree.graph, rrm, config, 5);
+  const std::size_t window = 30;
+  const std::size_t ticks = window + 12;
+  std::vector<linalg::Vector> ys;
+  for (std::size_t t = 0; t < ticks; ++t) {
+    ys.push_back(simulator.next().path_log_trans);
+  }
+  const std::size_t kill_at = window + 6;
+
+  std::size_t reference_attempts = 0;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    MonitorOptions options{.window = window};
+    options.lia.variance.negatives = NegativeCovariancePolicy::kDrop;
+    options.lia.variance.threads = threads;
+    LiaMonitor monitor(rrm.matrix(), options);
+    std::vector<std::uint8_t> image;
+    std::size_t diagnoses = 0;
+    for (std::size_t t = 0; t < ticks; ++t) {
+      if (monitor.observe(ys[t])) ++diagnoses;
+      if (t + 1 == kill_at) {
+        io::CheckpointWriter writer;
+        monitor.save_state(writer);
+        image = writer.finish();
+      }
+    }
+    const auto* eqs = monitor.streaming_equations();
+    ASSERT_NE(eqs, nullptr);
+    EXPECT_GT(diagnoses, 10u);
+    EXPECT_EQ(eqs->refactorizations(), diagnoses) << "threads=" << threads;
+    EXPECT_EQ(eqs->factor_attempts(), 2 * eqs->refactorizations())
+        << "threads=" << threads;
+    if (threads == 1) reference_attempts = eqs->factor_attempts();
+    EXPECT_EQ(eqs->factor_attempts(), reference_attempts)
+        << "threads=" << threads;
+
+    // Resume from the mid-run checkpoint in a fresh monitor.
+    LiaMonitor resumed(rrm.matrix(), options);
+    auto reader = io::CheckpointReader::from_bytes(std::move(image));
+    resumed.restore_state(reader);
+    for (std::size_t t = kill_at; t < ticks; ++t) (void)resumed.observe(ys[t]);
+    ASSERT_NE(resumed.streaming_equations(), nullptr);
+    EXPECT_EQ(resumed.streaming_equations()->refactorizations(),
+              eqs->refactorizations())
+        << "threads=" << threads;
+    EXPECT_EQ(resumed.streaming_equations()->factor_attempts(),
+              eqs->factor_attempts())
+        << "threads=" << threads;
+  }
 }
 
 }  // namespace

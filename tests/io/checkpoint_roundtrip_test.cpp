@@ -356,13 +356,16 @@ TEST(CheckpointRoundTrip, MonitorRejectsConfigMismatchIntact) {
 
 // The pair stack (store, PairMoments, normal equations) is built at the
 // first call that needs it; a restore installs the loaded stack instead.
-TEST(CheckpointRoundTrip, MonitorSharingPairsRestoreInstallsTheLoadedStack) {
+// A streaming monitor builds its stack at first use: constructed only to
+// be restored into, it builds nothing, and the restore installs the
+// loaded stack.
+void expect_restore_installs_the_loaded_stack(
+    core::CovarianceAccumulator accumulator, std::uint64_t seed) {
   const auto net = losstomo::testing::make_two_beacon_network();
   const net::ReducedRoutingMatrix rrm(net.graph, net.paths);
   const auto options =
-      monitor_options(core::CovarianceAccumulator::kSharingPairs,
-                      core::MonitorEngine::kStreaming);
-  const auto stream = make_stream(2 * options.window, 271);
+      monitor_options(accumulator, core::MonitorEngine::kStreaming);
+  const auto stream = make_stream(2 * options.window, seed);
   core::LiaMonitor original(rrm.matrix(), options);
   for (const auto& y : stream) (void)original.observe(y);
   const auto image = image_of(original);
@@ -378,13 +381,16 @@ TEST(CheckpointRoundTrip, MonitorSharingPairsRestoreInstallsTheLoadedStack) {
   EXPECT_EQ(image_of(restored), image);
 }
 
-TEST(CheckpointRoundTrip, MonitorSharingPairsCheckpointBeforeFirstSnapshot) {
+// A checkpoint taken before the first snapshot serializes the stack first
+// use would build (with the churn so far replayed), and a monitor restored
+// from it runs on in lockstep with the original.
+void expect_checkpoint_before_first_snapshot(
+    core::CovarianceAccumulator accumulator, std::uint64_t seed) {
   const auto net = losstomo::testing::make_two_beacon_network();
   const net::ReducedRoutingMatrix rrm(net.graph, net.paths);
   const auto options =
-      monitor_options(core::CovarianceAccumulator::kSharingPairs,
-                      core::MonitorEngine::kStreaming);
-  auto stream = make_stream(3 * options.window, 272);
+      monitor_options(accumulator, core::MonitorEngine::kStreaming);
+  auto stream = make_stream(3 * options.window, seed);
   for (auto& y : stream) y[1] = 0.0;  // path 1 stays retired throughout
 
   core::LiaMonitor original(rrm.matrix(), options);
@@ -410,6 +416,26 @@ TEST(CheckpointRoundTrip, MonitorSharingPairsCheckpointBeforeFirstSnapshot) {
   }
   EXPECT_GT(diagnosed, options.window);
   EXPECT_EQ(image_of(restored), image_of(original));
+}
+
+TEST(CheckpointRoundTrip, MonitorSharingPairsRestoreInstallsTheLoadedStack) {
+  expect_restore_installs_the_loaded_stack(
+      core::CovarianceAccumulator::kSharingPairs, 271);
+}
+
+TEST(CheckpointRoundTrip, MonitorSharingPairsCheckpointBeforeFirstSnapshot) {
+  expect_checkpoint_before_first_snapshot(
+      core::CovarianceAccumulator::kSharingPairs, 272);
+}
+
+TEST(CheckpointRoundTrip, MonitorDenseRestoreInstallsTheLoadedStack) {
+  expect_restore_installs_the_loaded_stack(core::CovarianceAccumulator::kDense,
+                                           274);
+}
+
+TEST(CheckpointRoundTrip, MonitorDenseCheckpointBeforeFirstSnapshot) {
+  expect_checkpoint_before_first_snapshot(core::CovarianceAccumulator::kDense,
+                                          275);
 }
 
 TEST(CheckpointRoundTrip, MonitorPairsCounterAfterFirstSnapshotAndRestore) {

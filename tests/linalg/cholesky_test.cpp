@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "linalg/qr.hpp"
 #include "stats/rng.hpp"
@@ -203,6 +205,180 @@ TEST(UpdatableCholesky, SizeMismatchThrows) {
   EXPECT_THROW(upd.update(wrong), std::invalid_argument);
   EXPECT_THROW((void)upd.downdate(wrong), std::invalid_argument);
   EXPECT_THROW((void)upd.solve(wrong), std::invalid_argument);
+}
+
+// The unblocked left-looking constructor the blocked kernel replaced,
+// verbatim apart from returning the factor: the reference for the blocked
+// contract (same per-entry operation order, same failing pivot).
+Matrix unblocked_reference(Matrix a, double min_pivot = 0.0) {
+  Matrix l_(std::move(a));
+  if (l_.rows() != l_.cols()) throw std::invalid_argument("not square");
+  const std::size_t n = l_.rows();
+  for (std::size_t j = 0; j < n; ++j) {
+    double d = l_(j, j);
+    for (std::size_t k = 0; k < j; ++k) d -= l_(j, k) * l_(j, k);
+    if (!(d > min_pivot)) throw std::runtime_error("Cholesky: matrix not SPD");
+    const double ljj = std::sqrt(d);
+    l_(j, j) = ljj;
+    for (std::size_t i = j + 1; i < n; ++i) {
+      double s = l_(i, j);
+      for (std::size_t k = 0; k < j; ++k) s -= l_(i, k) * l_(j, k);
+      l_(i, j) = s / ljj;
+    }
+    // Zero the strict upper triangle so l() is a clean factor.
+    for (std::size_t c = j + 1; c < n; ++c) l_(j, c) = 0.0;
+  }
+  return l_;
+}
+
+// Sizes around the 64-column panel edges, plus the churn overlay (366
+// links) and the tree instance (983 links).
+constexpr std::size_t kBlockedSizes[] = {1, 63, 64, 65, 127, 129, 366, 983};
+
+// Gram of a 0/1 matrix B = [I; R] with R ~ Bernoulli(0.05): integer
+// entries, like the drop-negative normal equations, and SPD.  With
+// `copy_to` < n, column `copy_to` of B is replaced by column copy_to / 2,
+// which makes the Gram exactly singular with its first zero pivot (in
+// exact arithmetic) at column `copy_to`.
+Matrix integer_gram(std::size_t n, stats::Rng& rng, std::size_t copy_to) {
+  Matrix b(2 * n, n);
+  for (std::size_t i = 0; i < n; ++i) b(i, i) = 1.0;
+  for (std::size_t i = n; i < 2 * n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) b(i, j) = rng.bernoulli(0.05) ? 1 : 0;
+  }
+  if (copy_to < n) {
+    for (std::size_t i = 0; i < 2 * n; ++i) b(i, copy_to) = b(i, copy_to / 2);
+  }
+  return b.gram();
+}
+
+// The drop-negative pivot floor: 1e-12 of the largest diagonal.
+double drop_negative_floor(const Matrix& a) {
+  double max_diag = 0.0;
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    max_diag = std::max(max_diag, std::fabs(a(i, i)));
+  }
+  return 1e-12 * max_diag;
+}
+
+Matrix leading_block(const Matrix& a, std::size_t k) {
+  Matrix out(k, k);
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t j = 0; j < k; ++j) out(i, j) = a(i, j);
+  }
+  return out;
+}
+
+// Checks the blocked factor of `a` against the unblocked reference.
+void expect_matches_reference(const Matrix& a, const std::string& label) {
+  const Matrix ref = unblocked_reference(a);
+  const Cholesky chol(a);
+  const Matrix& l = chol.l();
+  ASSERT_EQ(l.rows(), ref.rows()) << label;
+  double diff2 = 0.0;
+  double ref2 = 0.0;
+  std::size_t upper_nonzero = 0;
+  for (std::size_t i = 0; i < l.rows(); ++i) {
+    for (std::size_t j = 0; j < l.cols(); ++j) {
+      const double d = l(i, j) - ref(i, j);
+      diff2 += d * d;
+      ref2 += ref(i, j) * ref(i, j);
+      if (j > i && l(i, j) != 0.0) ++upper_nonzero;
+    }
+  }
+  EXPECT_LE(std::sqrt(diff2), 1e-12 * std::sqrt(ref2)) << label;
+  EXPECT_EQ(upper_nonzero, 0u) << label;
+}
+
+// Returns the exception message, or "" when the factorization succeeds.
+template <typename Factor>
+std::string failure_of(Factor&& factor) {
+  try {
+    factor();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(BlockedCholesky, MatchesUnblockedReferenceOnRandomSpd) {
+  stats::Rng rng(91);
+  for (const std::size_t n : kBlockedSizes) {
+    expect_matches_reference(random_spd(n, rng), "n=" + std::to_string(n));
+  }
+}
+
+TEST(BlockedCholesky, MatchesUnblockedReferenceOnIntegerGrams) {
+  stats::Rng rng(92);
+  for (const std::size_t n : kBlockedSizes) {
+    expect_matches_reference(integer_gram(n, rng, n),
+                             "n=" + std::to_string(n));
+  }
+}
+
+TEST(BlockedCholesky, FailsAtTheSameColumnAsReference) {
+  // Left-looking factorizations fail at column c exactly when the leading
+  // c x c block factors and the leading (c+1) x (c+1) block does not.
+  // 59 % is where the tree's plain attempt fails; the tree size runs only
+  // that case to keep sanitizer builds quick.
+  const struct {
+    std::size_t n;
+    double frac;
+  } cases[] = {{366, 0.10}, {366, 0.59}, {366, 0.90}, {983, 0.59}};
+  stats::Rng rng(93);
+  for (const auto [n, frac] : cases) {
+    const auto c = static_cast<std::size_t>(frac * static_cast<double>(n));
+    const Matrix a = integer_gram(n, rng, c);
+    const double pivot_floor = drop_negative_floor(a);
+    const std::string label =
+        "n=" + std::to_string(n) + " singular at " + std::to_string(c);
+    for (const std::size_t k : {c, c + 1}) {
+      const Matrix block = leading_block(a, k);
+      const std::string ref =
+          failure_of([&] { (void)unblocked_reference(block, pivot_floor); });
+      const std::string blocked =
+          failure_of([&] { (void)Cholesky(block, pivot_floor); });
+      EXPECT_EQ(blocked, ref) << label << ", leading " << k;
+      EXPECT_EQ(ref.empty(), k == c) << label << ", leading " << k;
+    }
+    const std::string ref =
+        failure_of([&] { (void)unblocked_reference(a, pivot_floor); });
+    EXPECT_EQ(ref, "Cholesky: matrix not SPD") << label;
+    EXPECT_EQ(failure_of([&] { (void)Cholesky(a, pivot_floor); }), ref)
+        << label;
+  }
+}
+
+TEST(BlockedCholesky, BitIdenticalAcrossThreadCounts) {
+  stats::Rng rng(94);
+  for (const std::size_t n : {std::size_t{129}, std::size_t{366},
+                              std::size_t{983}}) {
+    const Matrix a = integer_gram(n, rng, n);
+    const Matrix one = Cholesky(a, 0.0, 1).l();
+    for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+      EXPECT_EQ(Cholesky(a, 0.0, threads).l().data(), one.data())
+          << "n=" << n << " threads=" << threads;
+    }
+  }
+}
+
+TEST(BlockedCholesky, LadderFactorsAreTheKernelsFactor) {
+  // The ladder's retry refills one work buffer and UpdatableCholesky takes
+  // the ladder's factor by move: both must equal a fresh factorization of
+  // the jittered matrix, bit for bit.
+  stats::Rng rng(95);
+  const std::size_t n = 200;
+  const Matrix a = integer_gram(n, rng, 117);
+  const double floor_rel = 1e-12;
+  const RegularizedCholesky reg(a, 1e-12, 6, floor_rel, 2);
+  ASSERT_EQ(reg.jitter_attempts(), 1);
+  Matrix jittered = a;
+  for (std::size_t i = 0; i < n; ++i) jittered(i, i) += reg.jitter_used();
+  const Cholesky fresh(jittered, drop_negative_floor(a), 1);
+  EXPECT_EQ(reg.factor().l().data(), fresh.l().data());
+  const UpdatableCholesky upd(a, 1e-12, 6, floor_rel, 8);
+  EXPECT_EQ(upd.jitter_attempts(), 1);
+  EXPECT_EQ(upd.l().data(), fresh.l().data());
 }
 
 TEST(PivotedCholesky, FullRankSpd) {
