@@ -31,6 +31,10 @@
 // structure that replaced the O(np^2) pair scan) and the steady-state
 // streaming tick.  The batch engine is deliberately not run there — its
 // O(m np^2) relearn is exactly what the streaming engine exists to avoid.
+// The same feed then runs through a keep-all monitor, the library default
+// past 2000 paths (overlay_keepall_* keys): its steady tick, the monitor
+// Registry's accumulate/solve phase split, and its checkpoint (the
+// snapshot window plus the cached factor).
 //
 // The ingest section records what the LTBT binary trace format buys over
 // ASCII parsing on the same overlay: one phi campaign of ingest_snapshots
@@ -151,6 +155,18 @@ struct OverlayFigures {
   std::size_t rank1_updates = 0;
   // The same feed through the pair-indexed accumulator.
   double pairs_tick_seconds = 0.0;
+  // The same feed through a keep-all monitor (the library default at the
+  // 72-host size): its steady tick, the monitor's own Registry
+  // accumulate/solve phase split per tick (measured on a second,
+  // instrumented pass), and its checkpoint (the window plus the cached
+  // factor).
+  double keepall_tick_seconds = 0.0;
+  double keepall_accumulate_seconds = 0.0;
+  double keepall_solve_seconds = 0.0;
+  std::size_t keepall_refactorizations = 0;
+  std::size_t keepall_checkpoint_bytes = 0;
+  double keepall_checkpoint_save_seconds = 0.0;
+  double keepall_checkpoint_restore_seconds = 0.0;
   // Failover cost at this scale: one full monitor checkpoint (store +
   // accumulator + cached factor) serialized and restored.
   std::size_t checkpoint_bytes = 0;
@@ -260,6 +276,59 @@ OverlayFigures run_overlay(std::size_t hosts, std::size_t m, std::size_t ticks,
       if (t > m + 1) stat.add(timer.seconds());
     }
     out.pairs_tick_seconds = stat.mean();
+  }
+
+  // The identical feed through a keep-all monitor (kAuto's choice past
+  // pairwise_path_cap paths, so the library default on the 72-host overlay).
+  {
+    core::MonitorOptions keep_options;
+    keep_options.window = m;
+    keep_options.lia.variance.negatives = core::NegativeCovariancePolicy::kKeep;
+    core::LiaMonitor keep(r, keep_options);
+    sim::SnapshotSimulator feed(topo.graph, rrm, config, seed * 7);
+    stats::RunningStat stat;
+    for (std::size_t t = 0; t < m + 2 + ticks; ++t) {
+      const auto y = feed.next().path_log_trans;
+      util::Timer timer;
+      (void)keep.observe(y);
+      if (t > m + 1) stat.add(timer.seconds());
+    }
+    out.keepall_tick_seconds = stat.mean();
+    out.keepall_refactorizations =
+        keep.streaming_equations()->refactorizations();
+
+    util::Timer keep_save_timer;
+    io::CheckpointWriter keep_writer;
+    keep.save_state(keep_writer);
+    auto keep_image = keep_writer.finish();
+    out.keepall_checkpoint_save_seconds = keep_save_timer.seconds();
+    out.keepall_checkpoint_bytes = keep_image.size();
+    core::LiaMonitor keep_restored(r, keep_options);
+    util::Timer keep_restore_timer;
+    auto keep_reader = io::CheckpointReader::from_bytes(std::move(keep_image));
+    keep_restored.restore_state(keep_reader);
+    out.keepall_checkpoint_restore_seconds = keep_restore_timer.seconds();
+
+    obs::Registry registry;
+    keep_options.telemetry = &registry;
+    core::LiaMonitor instrumented(r, keep_options);
+    sim::SnapshotSimulator instrumented_feed(topo.graph, rrm, config, seed * 7);
+    const auto phase_seconds = [&](const char* name) {
+      return registry.histogram(name).sum();
+    };
+    double accumulate0 = 0.0, solve0 = 0.0;
+    for (std::size_t t = 0; t < m + 2 + ticks; ++t) {
+      if (t == m + 2) {
+        accumulate0 = phase_seconds("span.accumulate.seconds");
+        solve0 = phase_seconds("span.solve.seconds");
+      }
+      (void)instrumented.observe(instrumented_feed.next().path_log_trans);
+    }
+    const double measured = static_cast<double>(ticks);
+    out.keepall_accumulate_seconds =
+        (phase_seconds("span.accumulate.seconds") - accumulate0) / measured;
+    out.keepall_solve_seconds =
+        (phase_seconds("span.solve.seconds") - solve0) / measured;
   }
 
   // Ingestion shoot-out on the same overlay: one phi campaign, written
@@ -410,7 +479,8 @@ int main(int argc, char** argv) {
     table.print(std::cout);
     std::cout << "\nkeep-all: G depends only on R, so the streaming engine "
                  "factorizes the normal equations once and a steady tick is "
-                 "two rank-1 covariance updates + an O(nc^2) solve.\n";
+                 "an O(np) window push, the closed-form h over the window "
+                 "and an O(nc^2) solve.\n";
     std::cout << "drop-negative factor cache: " << drop.refactorizations
               << " refactorizations, " << drop.rank1_updates
               << " rank-1 up/downdates, " << drop.downdate_fallbacks
@@ -445,6 +515,16 @@ int main(int argc, char** argv) {
                 << " s\n";
       std::cout << "  pairs accumulator tick "
                 << util::Table::num(overlay.pairs_tick_seconds, 5) << " s\n";
+      std::cout << "  keep-all tick: "
+                << util::Table::num(overlay.keepall_tick_seconds, 5)
+                << " s (accumulate "
+                << util::Table::num(overlay.keepall_accumulate_seconds, 5)
+                << " s + solve "
+                << util::Table::num(overlay.keepall_solve_seconds, 5)
+                << " s per instrumented tick, "
+                << overlay.keepall_refactorizations
+                << " refactorizations); checkpoint "
+                << overlay.keepall_checkpoint_bytes << " bytes\n";
       if (overlay.ingest_snapshots > 0) {
         const double n = static_cast<double>(overlay.ingest_snapshots);
         const double ascii_per_s = n / overlay.ingest_ascii_seconds;
@@ -521,6 +601,20 @@ int main(int argc, char** argv) {
                  overlay.checkpoint_restore_seconds);
       report.set("overlay_pairs_tick_seconds" + suffix,
                  overlay.pairs_tick_seconds);
+      report.set("overlay_keepall_tick_seconds" + suffix,
+                 overlay.keepall_tick_seconds);
+      report.set("overlay_keepall_accumulate_seconds" + suffix,
+                 overlay.keepall_accumulate_seconds);
+      report.set("overlay_keepall_solve_seconds" + suffix,
+                 overlay.keepall_solve_seconds);
+      report.set("overlay_keepall_refactorizations" + suffix,
+                 overlay.keepall_refactorizations);
+      report.set("overlay_keepall_checkpoint_bytes" + suffix,
+                 overlay.keepall_checkpoint_bytes);
+      report.set("overlay_keepall_checkpoint_save_s" + suffix,
+                 overlay.keepall_checkpoint_save_seconds);
+      report.set("overlay_keepall_checkpoint_restore_s" + suffix,
+                 overlay.keepall_checkpoint_restore_seconds);
       if (overlay.ingest_snapshots > 0) {
         const double n = static_cast<double>(overlay.ingest_snapshots);
         const double ascii_snap = overlay.ingest_ascii_seconds / n;

@@ -572,6 +572,11 @@ int ingest_drill(const util::Args& args) {
         text_inferences.push_back(inference->loss);
       }
     }
+    if (const auto* eqs = monitor.streaming_equations()) {
+      std::cout << "phase 1: streaming "
+                << (eqs->drop_negative() ? "drop-negative" : "keep-all")
+                << '\n';
+    }
   }
 
   // Candidate: zero-copy binary ingestion through the pipeline.

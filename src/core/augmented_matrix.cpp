@@ -64,26 +64,28 @@ linalg::Matrix augmented_normal_matrix(const linalg::CoTraversalGram& gram,
 }
 
 linalg::Vector augmented_normal_rhs(
-    const stats::CenteredSnapshots& y,
+    std::span<const double> centered, std::size_t count,
     const std::vector<std::vector<std::uint32_t>>& column_paths,
     std::size_t threads) {
   const std::size_t nc = column_paths.size();
-  const std::size_t np = y.dim();
-  const std::size_t m = y.count();
+  const std::size_t m = count;
   if (m < 2) throw std::logic_error("need >= 2 snapshots");
+  if (centered.size() % m != 0) {
+    throw std::invalid_argument("centred samples are not count rows");
+  }
+  const std::size_t np = centered.size() / m;
   linalg::Vector h(nc, 0.0);
 
   // Per-path variances, shared across links.  Parallel over paths: each
   // entry sums its snapshots in ascending order, matching the scalar sweep
   // bit for bit.
-  const std::span<const double> flat = y.flat();
   linalg::Vector path_var(np, 0.0);
   util::parallel_for(
       np, 64,
       [&](std::size_t i_begin, std::size_t i_end) {
         for (std::size_t i = i_begin; i < i_end; ++i) {
           double acc = 0.0;
-          const double* p = flat.data() + i;
+          const double* p = centered.data() + i;
           for (std::size_t l = 0; l < m; ++l, p += np) acc += *p * *p;
           path_var[i] = acc / static_cast<double>(m - 1);
         }
@@ -98,7 +100,7 @@ linalg::Vector augmented_normal_rhs(
           // FullSum = 1/(m-1) sum_l ( sum_{i in S_k} ytilde_i^l )^2.
           double full_sum = 0.0;
           for (std::size_t l = 0; l < m; ++l) {
-            const auto row = y.sample(l);
+            const double* row = centered.data() + l * np;
             double s = 0.0;
             for (const auto i : paths) s += row[i];
             full_sum += s * s;
@@ -106,35 +108,6 @@ linalg::Vector augmented_normal_rhs(
           full_sum /= static_cast<double>(m - 1);
           double diag = 0.0;
           for (const auto i : paths) diag += path_var[i];
-          h[k] = 0.5 * (full_sum + diag);
-        }
-      },
-      threads);
-  return h;
-}
-
-linalg::Vector augmented_normal_rhs(
-    const linalg::Matrix& s,
-    const std::vector<std::vector<std::uint32_t>>& column_paths,
-    std::size_t threads) {
-  const std::size_t nc = column_paths.size();
-  linalg::Vector h(nc, 0.0);
-  // Links are independent (disjoint writes) and every per-link sum runs in
-  // ascending path order: bit-identical at any thread count.
-  util::parallel_for(
-      nc, 4,
-      [&](std::size_t k_begin, std::size_t k_end) {
-        for (std::size_t k = k_begin; k < k_end; ++k) {
-          const auto& paths = column_paths[k];
-          double full_sum = 0.0;
-          double diag = 0.0;
-          for (const auto i : paths) {
-            const auto row = s.row(i);
-            diag += row[i];
-            double acc = 0.0;
-            for (const auto j : paths) acc += row[j];
-            full_sum += acc;
-          }
           h[k] = 0.5 * (full_sum + diag);
         }
       },

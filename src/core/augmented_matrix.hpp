@@ -21,6 +21,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "linalg/matrix.hpp"
 #include "linalg/sparse.hpp"
@@ -61,23 +64,17 @@ linalg::Vector packed_covariances(const linalg::Matrix& s);
 linalg::Matrix augmented_normal_matrix(const linalg::CoTraversalGram& gram,
                                        std::size_t threads = 0);
 
-/// Implicit right-hand side h = A^T Sigma* using the closed form above.
-/// `column_paths[k]` lists the paths traversing link k (from
-/// SparseBinaryMatrix::column_lists()).  Links are processed in parallel;
-/// every per-link sum keeps the sequential snapshot order, so the result is
-/// bit-identical to the scalar implementation at any thread count.
+/// Implicit right-hand side h = A^T Sigma* using the closed form above,
+/// from `count` centred snapshots stored row-major in `centered` (count
+/// rows of np entries: CenteredSnapshots::flat(), or a
+/// stats::CovarianceSource's centered_flat()).  `column_paths[k]` lists the
+/// paths traversing link k (from SparseBinaryMatrix::column_lists()).
+/// O(count * nnz(R)), independent of the number of path pairs.  Links are
+/// processed in parallel; every per-link sum keeps the sequential snapshot
+/// order, so the result is bit-identical to the scalar implementation at
+/// any thread count.  Requires count >= 2.
 linalg::Vector augmented_normal_rhs(
-    const stats::CenteredSnapshots& y,
-    const std::vector<std::vector<std::uint32_t>>& column_paths,
-    std::size_t threads = 0);
-
-/// Same right-hand side evaluated from an already-formed covariance matrix
-/// S (stats::CovarianceSource::matrix()) instead of raw snapshots:
-///   h_k = 1/2 [ sum_{i,j in S_k} S_ij + sum_{i in S_k} S_ii ].
-/// This is the per-tick form the streaming engine uses: its cost depends
-/// only on the sharing structure, never on the window length.
-linalg::Vector augmented_normal_rhs(
-    const linalg::Matrix& s,
+    std::span<const double> centered, std::size_t count,
     const std::vector<std::vector<std::uint32_t>>& column_paths,
     std::size_t threads = 0);
 

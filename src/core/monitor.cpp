@@ -151,7 +151,9 @@ LiaMonitor::LiaMonitor(linalg::SparseBinaryMatrix r, MonitorOptions options)
 LiaMonitor::Stack LiaMonitor::make_stack() const {
   Stack stack;
   if (options_.accumulator == CovarianceAccumulator::kDense) {
-    stack.accumulator.emplace(r_.rows(), accumulator_options(options_));
+    if (!reads_window()) {
+      stack.accumulator.emplace(r_.rows(), accumulator_options(options_));
+    }
     stack.equations.emplace(r_, options_.lia.variance);
   } else {
     stack.store = std::make_shared<SharingPairStore>(
@@ -184,7 +186,7 @@ void LiaMonitor::Stack::save_state(io::CheckpointWriter& writer) const {
   if (store) store->save_state(writer);
   if (pair_accumulator) {
     pair_accumulator->save_state(writer);
-  } else {
+  } else if (accumulator) {
     accumulator->save_state(writer);
   }
   equations->save_state(writer, store != nullptr);
@@ -194,8 +196,11 @@ void LiaMonitor::Stack::restore_state(io::CheckpointReader& reader,
                                       const linalg::SparseBinaryMatrix& r,
                                       const MonitorOptions& options) {
   if (options.accumulator == CovarianceAccumulator::kDense) {
-    accumulator.emplace(r.rows(), accumulator_options(options));
-    accumulator->restore_state(reader);
+    // Keep-all keeps no accumulator (its relearn reads the window).
+    if (options.lia.variance.negatives == NegativeCovariancePolicy::kDrop) {
+      accumulator.emplace(r.rows(), accumulator_options(options));
+      accumulator->restore_state(reader);
+    }
     equations.emplace(r, options.lia.variance);
     equations->restore_state(reader, nullptr);
     return;
@@ -243,10 +248,15 @@ void LiaMonitor::publish_telemetry() {
   }
 }
 
+bool LiaMonitor::reads_window() const {
+  return engine_ == MonitorEngine::kBatch ||
+         options_.lia.variance.negatives != NegativeCovariancePolicy::kDrop;
+}
+
 std::size_t LiaMonitor::window_fill() const {
-  if (engine_ != MonitorEngine::kStreaming) return window_.size();
   if (stack_.pair_accumulator) return stack_.pair_accumulator->count();
-  return stack_.accumulator ? stack_.accumulator->count() : 0;
+  if (stack_.accumulator) return stack_.accumulator->count();
+  return window_.size();
 }
 
 const stats::CovarianceSource& LiaMonitor::covariance_source() const {
@@ -255,13 +265,13 @@ const stats::CovarianceSource& LiaMonitor::covariance_source() const {
 }
 
 void LiaMonitor::push_snapshot(std::span<const double> y) {
-  if (engine_ == MonitorEngine::kStreaming) {
-    ensure_stack();
-    if (stack_.pair_accumulator) {
-      stack_.pair_accumulator->push(y);
-    } else {
-      stack_.accumulator->push(y);
-    }
+  ensure_stack();
+  if (stack_.pair_accumulator) {
+    stack_.pair_accumulator->push(y);
+    return;
+  }
+  if (stack_.accumulator) {
+    stack_.accumulator->push(y);
     return;
   }
   window_.emplace_back(y.begin(), y.end());
@@ -378,20 +388,16 @@ void LiaMonitor::rebuild_active() {
 
 void LiaMonitor::relearn() {
   rebuild_active();
-  if (engine_ == MonitorEngine::kStreaming) {
+  if (!reads_window()) {
     stack_.equations->refresh(covariance_source());
     variance_ = stack_.equations->solve();
   } else {
-    // Batch reference: estimate from the active paths whose window entries
-    // are all real measurements — the exact set whose pairs the streaming
-    // engine reports ready.
+    // Estimate from the active paths whose window entries are all real
+    // measurements — the exact set whose pairs the accumulators report
+    // ready.
     std::vector<std::uint32_t> full_rows;
-    std::vector<std::vector<std::uint32_t>> rows;
     for (std::size_t i = 0; i < r_.rows(); ++i) {
-      if (!active_[i] || !path_full(i)) continue;
-      full_rows.push_back(static_cast<std::uint32_t>(i));
-      const auto row = r_.row(i);
-      rows.emplace_back(row.begin(), row.end());
+      if (path_full(i)) full_rows.push_back(static_cast<std::uint32_t>(i));
     }
     if (full_rows.size() < 2) {
       // Not enough learned history to estimate anything yet.
@@ -399,7 +405,6 @@ void LiaMonitor::relearn() {
       elimination_.reset();
       return;
     }
-    linalg::SparseBinaryMatrix sub(r_.cols(), std::move(rows));
     stats::SnapshotMatrix history(full_rows.size(), options_.window);
     for (std::size_t l = 0; l < options_.window; ++l) {
       const auto& y = window_[l];
@@ -407,7 +412,22 @@ void LiaMonitor::relearn() {
         history.at(l, idx) = y[full_rows[idx]];
       }
     }
-    variance_ = estimate_link_variances(sub, history, options_.lia.variance);
+    if (engine_ == MonitorEngine::kStreaming) {
+      // Keep-all streaming: no churn, so every path is full and `history`
+      // is the whole window.  The batch closed form computes h from it;
+      // G and its factor stay cached.
+      stack_.equations->refresh(stats::BatchCovarianceSource(
+          history, options_.lia.variance.threads));
+      variance_ = stack_.equations->solve();
+    } else {
+      std::vector<std::vector<std::uint32_t>> rows;
+      for (const auto i : full_rows) {
+        const auto row = r_.row(i);
+        rows.emplace_back(row.begin(), row.end());
+      }
+      const linalg::SparseBinaryMatrix sub(r_.cols(), std::move(rows));
+      variance_ = estimate_link_variances(sub, history, options_.lia.variance);
+    }
   }
   elimination_ = eliminate_low_variance_links(*active_r_, variance_->v,
                                               options_.lia.elimination);
@@ -490,7 +510,8 @@ void LiaMonitor::save_state(io::CheckpointWriter& writer) const {
     } else {
       make_stack().save_state(writer);
     }
-  } else {
+  }
+  if (reads_window()) {
     writer.usize(window_.size());
     for (const auto& y : window_) writer.doubles(y);
   }
@@ -566,20 +587,21 @@ void LiaMonitor::restore_state(io::CheckpointReader& reader) {
   // Reconstruct the engine stack over the restored routing, restore its
   // serialized state into the fresh objects, and only then commit.
   Stack stack;
-  std::deque<linalg::Vector> batch_window;
+  std::deque<linalg::Vector> snapshots;
   if (engine_ == MonitorEngine::kStreaming) {
     stack.restore_state(reader, *new_r, options_);
-  } else {
+  }
+  if (reads_window()) {
     const std::size_t stored = reader.usize();
     if (stored > options_.window) {
       throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
-                                "batch window larger than configured");
+                                "snapshot window larger than configured");
     }
     for (std::size_t l = 0; l < stored; ++l) {
-      batch_window.emplace_back(reader.doubles());
-      if (batch_window.back().size() != nrows) {
+      snapshots.emplace_back(reader.doubles());
+      if (snapshots.back().size() != nrows) {
         throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
-                                  "batch window snapshot has wrong size");
+                                  "window snapshot has wrong size");
       }
     }
   }
@@ -594,7 +616,7 @@ void LiaMonitor::restore_state(io::CheckpointReader& reader) {
   active_dirty_ = true;
   active_rows_.clear();
   active_r_.reset();
-  window_ = std::move(batch_window);
+  window_ = std::move(snapshots);
   stack_ = std::move(stack);
   variance_ = std::move(estimate);
   elimination_.reset();

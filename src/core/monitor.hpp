@@ -13,27 +13,34 @@
 // simply the case where every row is active.
 //
 // Two engines drive the per-tick relearn:
-//  * kStreaming (default) — an incremental accumulator keeps the window
-//    covariance current under rank-1 add/retire updates, and a
-//    StreamingNormalEquations instance refreshes h (and the sign-flipped
-//    parts of G) from it, re-using the cached Cholesky factor while G is
-//    unchanged.  Steady-state tick cost is independent of the window
-//    length; under the keep-all policy G never changes and the normal
-//    equations are factorized exactly once.  The accumulator itself is
-//    selectable: the dense stats::StreamingMoments (full S, O(np^2) per
-//    tick) or the pair-indexed core::PairMoments (sharing-pair entries
-//    only, O(np + pairs) per tick — the configuration that scales
-//    drop-negative monitoring to multi-thousand-path overlays).
+//  * kStreaming (default) — a StreamingNormalEquations instance keeps the
+//    Phase-1 system and its cached Cholesky factor across ticks.  What it
+//    reads depends on the negative-covariance policy:
+//     - keep-all (kAuto's choice above pairwise_path_cap paths): G depends
+//       only on the routing, so it is assembled and factorized exactly
+//       once, and h is the batch closed form on the snapshot window —
+//       O(m * nnz(R)) per relearn, bit-identical to the batch engine.  The
+//       monitor keeps only the window (push is O(np)) and no covariance
+//       accumulator;
+//     - drop-negative: an incremental accumulator keeps the pair
+//       covariances current under rank-1 add/retire updates, and each
+//       refresh folds the pairs whose drop decision flipped into G and
+//       the cached factor.  The accumulator is selectable: the dense
+//       stats::StreamingMoments (full S, O(np^2) per tick) or the
+//       pair-indexed core::PairMoments (sharing-pair entries only,
+//       O(np + pairs) per tick — the configuration that scales
+//       drop-negative monitoring to multi-thousand-path overlays).
 //  * kBatch — the reference path: rebuild the m x np snapshot matrix and
 //    run the full Phase-1 estimate from scratch every relearn.  Retained
 //    for parity tests, and required for VarianceMethod::kDenseQr (the
 //    monitor falls back to it automatically in that configuration).
 // Both engines fold every observed snapshot into the window regardless of
-// relearn_every, and produce identical inferences to <= 1e-10 (see
-// bench/monitor_streaming and tests/core/monitor_test) — except that under
-// drop-negative a pair covariance within the accumulator's drift of zero
-// can resolve its drop decision differently than the batch engine (the
-// policy is discontinuous at cov = 0; keep-all has no such boundary).
+// relearn_every.  Under keep-all they produce bit-identical variances and
+// inferences (tests/core/monitor_keepall_parity_test); under drop-negative
+// they agree to <= 1e-10 (see bench/monitor_streaming and
+// tests/core/monitor_test), except that a pair covariance within the
+// accumulator's drift of zero can resolve its drop decision differently
+// than the batch engine (the policy is discontinuous at cov = 0).
 //
 // Path churn (scenario engine, src/scenario/): the monitored overlay may
 // evolve mid-run — paths join, leave, change routes, and arrive in mass-
@@ -86,7 +93,9 @@ enum class MonitorEngine {
 };
 
 enum class CovarianceAccumulator {
-  kDense,         // stats::StreamingMoments: full S, O(np^2) per tick
+  // Drop-negative: stats::StreamingMoments, full S, O(np^2) per tick.
+  // Keep-all: no accumulator — the relearn reads the snapshot window.
+  kDense,
   kSharingPairs,  // core::PairMoments: sharing-pair entries, O(np + pairs)
 };
 
@@ -108,7 +117,9 @@ struct MonitorOptions {
   CovarianceAccumulator accumulator = CovarianceAccumulator::kDense;
   /// Streaming engine only: full recompute cadence of the incremental
   /// accumulator in ticks, bounding floating-point drift
-  /// (stats::StreamingMomentsOptions::refresh_every); 0 = 2 * window.
+  /// (stats::StreamingMomentsOptions::refresh_every); 0 = 2 * window.  No
+  /// effect under keep-all, which keeps no incremental accumulator (the
+  /// value still enters the checkpoint's configuration fingerprint).
   std::size_t refresh_every = 0;
   /// Telemetry sink (obs/registry.hpp); nullptr (the default) leaves the
   /// monitor uninstrumented.  The monitor registers its metric set, opens
@@ -134,11 +145,12 @@ class LiaMonitor {
   /// Takes the routing matrix by value (owned), so constructing from a
   /// temporary is safe.  Throws std::invalid_argument for window < 2,
   /// relearn_every == 0, or an inconsistent accumulator configuration.
-  /// The streaming engine builds nothing here: its accumulator (dense
-  /// StreamingMoments or the pair store with PairMoments) and normal
-  /// equations are built at the first call that needs them (observe or
-  /// add_paths), and restore_state installs the loaded ones instead, so a
-  /// monitor that is constructed only to be restored never builds a stack.
+  /// The streaming engine builds nothing here: its normal equations (and,
+  /// under drop-negative, its accumulator: dense StreamingMoments or the
+  /// pair store with PairMoments) are built at the first call that needs
+  /// them (observe or add_paths), and restore_state installs the loaded
+  /// ones instead, so a monitor that is constructed only to be restored
+  /// never builds a stack.
   explicit LiaMonitor(linalg::SparseBinaryMatrix r, MonitorOptions options = {});
   LiaMonitor(LiaMonitor&&);
   LiaMonitor& operator=(LiaMonitor&&);
@@ -149,11 +161,14 @@ class LiaMonitor {
   /// still filling (the first `window` snapshots are learning-only).
   /// `y.size()` must equal routing().rows() (throws
   /// std::invalid_argument).  Steady-state cost per tick (streaming
-  /// engine): the accumulator update (O(np^2) dense, O(np + pairs)
-  /// pair-indexed) + the normal-equation refresh (proportional to the
-  /// sharing structure) + the cached-factor solve — independent of the
-  /// window length; the batch engine pays the full O(m np^2) relearn
-  /// instead.
+  /// engine), plus the cached-factor O(nc^2) solve:
+  ///  * keep-all: an O(np) window push + the closed-form refresh,
+  ///    O(m np + m nnz(R));
+  ///  * drop-negative: the accumulator update (O(np^2) dense, O(np +
+  ///    pairs) pair-indexed) + the pair refresh (proportional to the
+  ///    sharing structure), independent of the window length.
+  /// The batch engine re-runs the full Phase-1 estimate on the window
+  /// instead, with a fresh factorization every relearn.
   std::optional<LossInference> observe(std::span<const double> y);
 
   /// Per-diagnosing-tick callback for observe_block: (0-based tick index,
@@ -242,11 +257,14 @@ class LiaMonitor {
   //
   // save_state serializes the complete mutable monitor: the (possibly
   // grown) routing matrix, tick/relearn counters, the activation ledger,
-  // the batch window or the streaming stack (shared pair store,
+  // the current Phase-1 estimate, the streaming stack (shared pair store,
   // accumulator rings, incrementally maintained normal equations with
-  // their cached factor), and the current Phase-1 estimate.  The Phase-2
-  // elimination is NOT serialized — it is a pure function of (active
-  // routing, variances) and is recomputed on restore, bit-identically.
+  // their cached factor), and the snapshot window when the relearn reads
+  // it (batch engine; streaming keep-all, whose image is the window plus
+  // the cached factor and h — O(np m + nc^2), no np x np matrix).  The
+  // Phase-2 elimination is NOT serialized — it is a pure function of
+  // (active routing, variances) and is recomputed on restore,
+  // bit-identically.
   //
   // A kSharingPairs monitor saved before its first snapshot serializes the
   // stack its first use would build, so the image does not depend on when
@@ -266,12 +284,13 @@ class LiaMonitor {
  private:
   struct Telemetry;  // pre-resolved metric handles (monitor.cpp)
 
-  /// The streaming engine's state: the covariance accumulator (dense or
-  /// pair-indexed), the incrementally maintained normal equations, and
-  /// under kSharingPairs the pair store the two share.
+  /// The streaming engine's state: the incrementally maintained normal
+  /// equations, under drop-negative the covariance accumulator (dense or
+  /// pair-indexed), and under kSharingPairs the pair store the two share.
+  /// Keep-all has no accumulator: its relearn reads window_.
   struct Stack {
     std::shared_ptr<SharingPairStore> store;  // kSharingPairs only
-    std::optional<stats::StreamingMoments> accumulator;
+    std::optional<stats::StreamingMoments> accumulator;  // dense drop-negative
     std::optional<PairMoments> pair_accumulator;  // kSharingPairs only
     std::optional<StreamingNormalEquations> equations;
     void save_state(io::CheckpointWriter& writer) const;
@@ -294,19 +313,23 @@ class LiaMonitor {
   /// state they are derived from.
   void publish_telemetry();
   void push_snapshot(std::span<const double> y);
+  /// True when the relearn reads the snapshot window (window_) rather than
+  /// an incremental accumulator: the batch engine, and the streaming engine
+  /// under keep-all.
+  [[nodiscard]] bool reads_window() const;
   [[nodiscard]] std::size_t window_fill() const;
   /// The streaming engine's accumulator, whichever kind is engaged.
   [[nodiscard]] const stats::CovarianceSource& covariance_source() const;
-  /// Batch-engine mirror of the accumulators' validity rule: path i's
-  /// window entries are all real measurements.
+  /// The window engines' mirror of the accumulators' validity rule: path
+  /// i's window entries are all real measurements.
   [[nodiscard]] bool path_full(std::size_t i) const;
 
   MonitorOptions options_;
   MonitorEngine engine_;
   linalg::SparseBinaryMatrix r_;  // authoritative (grows under add_path)
-  // Batch engine state.
+  // The snapshot window, oldest first (reads_window() engines only).
   std::deque<linalg::Vector> window_;
-  // Streaming engine state; empty until first use under kSharingPairs.
+  // Streaming engine state; empty until first use.
   Stack stack_;
   // Activation ledger and the active-row submatrix Phase 2 runs on.
   std::vector<std::uint8_t> active_;

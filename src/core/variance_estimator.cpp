@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -257,16 +258,31 @@ NormalEquations accumulate_pairwise_blocked(const linalg::SparseBinaryMatrix& r,
   return acc;
 }
 
-// Closed-form accumulation keeping all equations (policy kKeep).  Both the
-// normal matrix and the right-hand side are assembled in parallel inside
-// core/augmented_matrix.cpp.
+// The centred window samples the keep-all closed form reads: it needs the
+// per-link path sums of every snapshot, not S.  Both library sources with a
+// window serve them (BatchCovarianceSource, stats::StreamingMoments).
+std::span<const double> keep_all_samples(
+    const stats::CovarianceSource& source) {
+  const auto centered = source.centered_flat();
+  if (centered.empty()) {
+    throw std::invalid_argument(
+        "the keep-all policy needs a covariance source that serves its "
+        "centred samples");
+  }
+  return centered;
+}
+
+// Closed-form accumulation keeping all equations (policy kKeep) from
+// `count` centred snapshots.  Both the normal matrix and the right-hand
+// side are assembled in parallel inside core/augmented_matrix.cpp.
 NormalEquations accumulate_closed_form(const linalg::SparseBinaryMatrix& r,
-                                       const stats::CenteredSnapshots& y,
+                                       std::span<const double> centered,
+                                       std::size_t count,
                                        std::size_t threads) {
   NormalEquations sys;
   const linalg::CoTraversalGram gram(r);
   sys.g = augmented_normal_matrix(gram, threads);
-  sys.h = augmented_normal_rhs(y, r.column_lists(), threads);
+  sys.h = augmented_normal_rhs(centered, count, r.column_lists(), threads);
   sys.used = pair_count(r.rows());
   return sys;
 }
@@ -375,7 +391,8 @@ NormalEquations build_normal_equations_centered(
   if (!resolve_negative_policy(options, r.rows())) {
     return options.use_reference_impl
                ? accumulate_closed_form_reference(r, centered)
-               : accumulate_closed_form(r, centered, options.threads);
+               : accumulate_closed_form(r, centered.flat(), centered.count(),
+                                        options.threads);
   }
   if (options.use_reference_impl) {
     return accumulate_pairwise_reference(r, centered, true);
@@ -508,13 +525,8 @@ NormalEquations build_normal_equations(const linalg::SparseBinaryMatrix& r,
   if (resolve_negative_policy(options, r.rows())) {
     return accumulate_pairwise_blocked(r, source, true, options.threads);
   }
-  NormalEquations sys;
-  const linalg::CoTraversalGram gram(r);
-  sys.g = augmented_normal_matrix(gram, options.threads);
-  sys.h = augmented_normal_rhs(source.matrix(), r.column_lists(),
-                               options.threads);
-  sys.used = pair_count(r.rows());
-  return sys;
+  return accumulate_closed_form(r, keep_all_samples(source), source.count(),
+                                options.threads);
 }
 
 VarianceEstimate estimate_link_variances(const linalg::SparseBinaryMatrix& r,
@@ -881,8 +893,10 @@ const NormalEquations& StreamingNormalEquations::refresh(
   refreshed_ = true;
 
   if (!drop_negative_) {
-    sys_.h =
-        augmented_normal_rhs(source.matrix(), column_paths_, options_.threads);
+    // The batch closed form on the source's window: bit-identical to
+    // estimate_link_variances on the same snapshots.
+    sys_.h = augmented_normal_rhs(keep_all_samples(source), source.count(),
+                                  column_paths_, options_.threads);
     return sys_;
   }
 
@@ -1152,7 +1166,9 @@ void StreamingNormalEquations::save_state(io::CheckpointWriter& writer,
   writer.usize(nc_);
   writer.boolean(drop_negative_);
   writer.boolean(refreshed_);
-  writer.doubles(sys_.g.data());
+  // Keep-all G is a pure function of the routing: the constructor of the
+  // restore target has already assembled it.
+  if (drop_negative_) writer.doubles(sys_.g.data());
   writer.doubles(sys_.h);
   writer.usize(sys_.used);
   writer.usize(sys_.dropped);
@@ -1207,7 +1223,8 @@ void StreamingNormalEquations::restore_state(
   // Everything parses into locals first; members only move in at the end
   // (no-partial-state guarantee).
   const bool refreshed = reader.boolean();
-  std::vector<double> g = reader.doubles();
+  std::vector<double> g;
+  if (drop_negative_) g = reader.doubles();
   std::vector<double> h = reader.doubles();
   const std::size_t used = reader.usize();
   const std::size_t dropped = reader.usize();
@@ -1235,7 +1252,7 @@ void StreamingNormalEquations::restore_state(
   const std::size_t links_grown = reader.usize();
   const std::size_t downdate_fallbacks = reader.usize();
   const std::size_t refine_iterations = reader.usize();
-  if (g.size() != nc_ * nc_ || h.size() != nc_) {
+  if ((drop_negative_ && g.size() != nc_ * nc_) || h.size() != nc_) {
     throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
                               "normal equations G/h have the wrong shape");
   }
@@ -1303,7 +1320,7 @@ void StreamingNormalEquations::restore_state(
   reader.end_section();
 
   refreshed_ = refreshed;
-  std::copy(g.begin(), g.end(), sys_.g.data().begin());
+  std::copy(g.begin(), g.end(), sys_.g.data().begin());  // empty under keep-all
   sys_.h = std::move(h);
   sys_.used = used;
   sys_.dropped = dropped;

@@ -144,6 +144,8 @@ NormalEquations build_normal_equations(const linalg::SparseBinaryMatrix& r,
 /// Same system assembled from an abstract CovarianceSource (batch wrapper
 /// or streaming accumulator).  `use_reference_impl` is ignored — the scalar
 /// references are snapshot-based and live on the SnapshotMatrix overload.
+/// Keep-all reads the source's centred samples (centered_flat()) and throws
+/// std::invalid_argument for a source that serves none.
 NormalEquations build_normal_equations(const linalg::SparseBinaryMatrix& r,
                                        const stats::CovarianceSource& source,
                                        const VarianceOptions& options = {});
@@ -165,7 +167,11 @@ VarianceEstimate estimate_link_variances(const linalg::SparseBinaryMatrix& r,
 /// Two policies, two incremental strategies:
 ///  * keep-all: G = A^T A depends only on the routing matrix, so it is
 ///    assembled at construction, the Cholesky factorization is computed on
-///    the first solve(), and every subsequent solve() is O(nc^2);
+///    the first solve(), and every subsequent solve() is O(nc^2).
+///    refresh() computes h with the batch closed form
+///    (augmented_normal_rhs) on the source's centred window samples, in
+///    O(m * nnz(r)) — bit-identical to estimate_link_variances on the same
+///    window, and no np x np matrix is read;
 ///  * drop-negative: the sharing pairs live in a SharingPairStore built
 ///    *lazily* on the first refresh() (chunk-parallel, memory proportional
 ///    to the sharing structure — see core/sharing_pairs.hpp), so
@@ -189,9 +195,9 @@ VarianceEstimate estimate_link_variances(const linalg::SparseBinaryMatrix& r,
 ///         rank-1 count reaches VarianceOptions::factor_update_cap
 ///         (drift bound).
 ///
-/// refresh() rebuilds h from the source's current covariance matrix — cost
-/// proportional to the sharing structure, independent of the window length
-/// — and solve() yields the same clamped estimate as
+/// Under drop-negative, refresh() rebuilds h from the source's current pair
+/// covariances — cost proportional to the sharing structure, independent
+/// of the window length — and solve() yields the same clamped estimate as
 /// estimate_link_variances on an equal-valued source to refinement
 /// accuracy (residual <= 1e-13 * ||h||; <= 1e-10 parity observed on
 /// well-conditioned instances, and bit-identical on freshly refactorized
@@ -219,8 +225,10 @@ class StreamingNormalEquations {
                            std::shared_ptr<SharingPairStore> store);
 
   /// Recomputes h (and the sign-flipped parts of G and the cached factor
-  /// under drop-negative) from the source's current covariance matrix.
-  /// Under drop-negative a pair enters the system only when it is live
+  /// under drop-negative) from the source's current statistics.  Keep-all
+  /// reads source.centered_flat() (throws std::invalid_argument for a
+  /// source that serves no samples, such as core::PairMoments).  Under
+  /// drop-negative a pair enters the system only when it is live
   /// (both paths' store rows live), ready (source.samples() covers the
   /// full window for both paths — path-churn warm-up), and its covariance
   /// is non-negative; skipped pairs count neither used nor dropped, so the
@@ -318,7 +326,9 @@ class StreamingNormalEquations {
   // -- Checkpointing (io/checkpoint.hpp) ----------------------------------
   //
   // Serializes every piece of mutable state the incremental machinery
-  // depends on: the integer-maintained G and rhs, the cached
+  // depends on: the integer-maintained G (drop-negative only: keep-all G
+  // is a pure function of the routing, assembled once by the restore
+  // target's constructor) and rhs, the cached
   // UpdatableCholesky factor (restored via from_state — NO refactorization
   // on resume), the pending pair/pin flip queues with their membership
   // marks, the kept-pair flags, link coverage and pin states, and all

@@ -14,7 +14,14 @@
 //    kernel when a consumer asks for it;
 //  * stats::StreamingMoments (streaming.hpp) — a sliding-window accumulator
 //    that maintains S under O(np^2) rank-1 add/retire updates, so a
-//    monitoring loop never pays the O(m np^2) batch recomputation.
+//    monitoring loop never pays the O(m np^2) batch recomputation.  It also
+//    serves its retained window through centered_flat(), centred exactly
+//    as the batch wrapper centres it.
+//
+// Consumers pick what they read: the drop-negative pairwise accumulation
+// reads pair covariances (matrix() or covariance()), the keep-all closed
+// form reads centered_flat() — the per-link path sums over the window are
+// all it needs, so it never forms S.
 #pragma once
 
 #include <algorithm>
@@ -39,7 +46,8 @@ namespace losstomo::stats {
 ///
 /// Thread-safety contract for implementations: all methods here are
 /// logically const reads and must be safe to call concurrently *after*
-/// matrix() has been materialised once; mutating operations (e.g.
+/// matrix() and centered_flat() have been materialised once (both may
+/// build a cache on first call); mutating operations (e.g.
 /// StreamingMoments::push) are single-writer and must not overlap reads.
 class CovarianceSource {
  public:
@@ -63,10 +71,10 @@ class CovarianceSource {
   /// Consumers use this to pick between matrix reads and covariance().
   [[nodiscard]] virtual bool matrix_is_cheap() const = 0;
 
-  /// Optional fast path: row-major centred samples (count() rows of dim()
-  /// entries) when the implementation stores them; empty otherwise.
-  /// Consumers that stream over raw samples (the sparse-sharing pairwise
-  /// accumulation) use this instead of per-pair covariance() calls.
+  /// Row-major centred samples (count() rows of dim() entries) when the
+  /// implementation retains its window; empty otherwise (core::PairMoments).
+  /// The keep-all closed form requires them; the sparse-sharing pairwise
+  /// accumulation uses them instead of per-pair covariance() calls.
   [[nodiscard]] virtual std::span<const double> centered_flat() const {
     return {};
   }

@@ -58,6 +58,7 @@ std::size_t StreamingMoments::add_paths(std::size_t count) {
   cross_ = std::move(cross);
   cov_ = linalg::Matrix(next, next);
   cov_valid_ = false;
+  centered_.reset();
   mean_.resize(next, 0.0);
   delta_.resize(next, 0.0);
   for (std::size_t k = 0; k < count; ++k) churn_.add_dim(pushes_);
@@ -124,6 +125,7 @@ void StreamingMoments::push(std::span<const double> y) {
   add(y);
   ++pushes_;
   cov_valid_ = false;
+  centered_.reset();
   if (++since_refresh_ >= options_.refresh_every) refresh();
 }
 
@@ -207,6 +209,20 @@ void StreamingMoments::restore_state(io::CheckpointReader& reader) {
   mean_ = std::move(mean);
   std::copy(cross.begin(), cross.end(), cross_.data().begin());
   cov_valid_ = false;
+  centered_.reset();
+}
+
+std::span<const double> StreamingMoments::centered_flat() const {
+  if (count_ == 0) return {};
+  if (!centered_) {
+    SnapshotMatrix window(dim_, count_);
+    for (std::size_t l = 0; l < count_; ++l) {
+      const auto src = ring_.sample((head_ + l) % options_.window);
+      std::copy(src.begin(), src.end(), window.sample(l).begin());
+    }
+    centered_ = std::make_unique<CenteredSnapshots>(window);
+  }
+  return centered_->flat();
 }
 
 double StreamingMoments::covariance(std::size_t i, std::size_t j) const {

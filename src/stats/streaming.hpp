@@ -16,6 +16,9 @@
 // rank-1 updates, O(np^2) independent of the window length, and
 // S = C / (n-1) is always available.
 //
+// The ring itself is served too (centered_flat): the keep-all closed form
+// reads the window's samples, not S.
+//
 // Floating-point drift from the incremental updates is bounded by a
 // deterministic periodic full refresh: every `refresh_every` pushes the
 // means and C are recomputed from the retained window via the blocked SYRK
@@ -26,6 +29,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -64,6 +68,13 @@ class StreamingMoments final : public CovarianceSource {
   [[nodiscard]] double covariance(std::size_t i, std::size_t j) const override;
   [[nodiscard]] const linalg::Matrix& matrix() const override;
   [[nodiscard]] bool matrix_is_cheap() const override { return true; }
+  /// The retained window's samples, oldest to newest (count() rows of
+  /// dim() entries), centred on their exact sample means with
+  /// stats::CenteredSnapshots arithmetic — bit for bit what a
+  /// BatchCovarianceSource over the same snapshots serves, so the keep-all
+  /// closed form reads the same h from either.  Built on the first call
+  /// after a push and cached: O(count * dim).  Empty while count() == 0.
+  [[nodiscard]] std::span<const double> centered_flat() const override;
 
   [[nodiscard]] std::size_t window() const { return options_.window; }
   [[nodiscard]] bool full() const { return count_ == options_.window; }
@@ -149,6 +160,7 @@ class StreamingMoments final : public CovarianceSource {
   linalg::Matrix cross_;       // C, centred cross-products
   mutable linalg::Matrix cov_; // cached S = C / (count-1)
   mutable bool cov_valid_ = false;
+  mutable std::unique_ptr<CenteredSnapshots> centered_;  // cached window
 };
 
 }  // namespace losstomo::stats
