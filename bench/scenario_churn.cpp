@@ -14,8 +14,8 @@
 //  * the 646-path random tree of bench_monitor_streaming, swept over three
 //    churn rates (no churn / leave-join every 2*churn_every ticks / every
 //    churn_every ticks) — the tick-latency-vs-churn-rate curve, plus the
-//    factor-cache counters showing the events ride rank-1/stale-factor
-//    updates instead of relearns;
+//    refactorization counts (one per relearn whose drop-negative G
+//    changed);
 //  * the 5112-path PlanetLab-like overlay of the PR-3 record, comparing
 //    the dense O(np^2)-per-tick accumulator against core::PairMoments
 //    (O(np + sharing pairs) per tick) under light churn — the ROADMAP
@@ -62,9 +62,6 @@ struct ChurnFigures {
   std::size_t np = 0, nc = 0;
   std::size_t refactorizations = 0;
   std::size_t factor_attempts = 0;
-  std::size_t rank1_updates = 0;
-  std::size_t pin_updates = 0;
-  std::size_t refine_iterations = 0;
   std::size_t store_pairs = 0;
   std::size_t store_bytes = 0;
   double setup_seconds = 0.0;    // runner construction
@@ -84,9 +81,6 @@ ChurnFigures run_scenario(const scenario::ScenarioSpec& spec,
   if (const auto* eqs = runner.monitor().streaming_equations()) {
     out.refactorizations = eqs->refactorizations();
     out.factor_attempts = eqs->factor_attempts();
-    out.rank1_updates = eqs->rank1_updates();
-    out.pin_updates = eqs->pin_updates();
-    out.refine_iterations = eqs->refine_iterations();
     if (const auto* store = eqs->pair_store()) {
       out.store_pairs = store->pair_count();
       out.store_bytes = store->bytes();
@@ -230,7 +224,7 @@ int main(int argc, char** argv) {
 
     // -- tree: tick latency vs churn rate -------------------------------
     util::Table table({"instance", "churn", "steady tick s", "event tick s",
-                       "refact", "rank-1", "refine"});
+                       "refact", "attempts"});
     const struct {
       const char* label;
       std::size_t gap;
@@ -243,8 +237,7 @@ int main(int argc, char** argv) {
                      util::Table::num(fig.outcome.steady_tick_seconds, 5),
                      util::Table::num(fig.outcome.event_tick_seconds, 5),
                      std::to_string(fig.refactorizations),
-                     std::to_string(fig.rank1_updates),
-                     std::to_string(fig.refine_iterations)});
+                     std::to_string(fig.factor_attempts)});
       const std::string base = std::string("tree_") + rate.label;
       report.set(base + "_steady_tick_seconds" + suffix,
                  fig.outcome.steady_tick_seconds);
@@ -253,7 +246,6 @@ int main(int argc, char** argv) {
                    fig.outcome.event_tick_seconds);
       }
       report.set(base + "_refactorizations" + suffix, fig.refactorizations);
-      report.set(base + "_rank1_updates" + suffix, fig.rank1_updates);
       if (rate.gap == 0) {
         report.set("tree_np" + suffix, fig.np);
         report.set("tree_nc" + suffix, fig.nc);
@@ -274,14 +266,12 @@ int main(int argc, char** argv) {
                      util::Table::num(dense.outcome.steady_tick_seconds, 5),
                      util::Table::num(dense.outcome.event_tick_seconds, 5),
                      std::to_string(dense.refactorizations),
-                     std::to_string(dense.rank1_updates),
-                     std::to_string(dense.refine_iterations)});
+                     std::to_string(dense.factor_attempts)});
       table.add_row({"overlay (" + std::to_string(pairs.np) + "p)", "pairs",
                      util::Table::num(pairs.outcome.steady_tick_seconds, 5),
                      util::Table::num(pairs.outcome.event_tick_seconds, 5),
                      std::to_string(pairs.refactorizations),
-                     std::to_string(pairs.rank1_updates),
-                     std::to_string(pairs.refine_iterations)});
+                     std::to_string(pairs.factor_attempts)});
       report.set("overlay_np" + suffix, dense.np);
       report.set("overlay_nc" + suffix, dense.nc);
       report.set("overlay_pairs" + suffix, pairs.store_pairs);
@@ -364,8 +354,7 @@ int main(int argc, char** argv) {
                      util::Table::num(lazy_fig.outcome.steady_tick_seconds, 5),
                      util::Table::num(lazy_fig.outcome.event_tick_seconds, 5),
                      std::to_string(lazy_fig.refactorizations),
-                     std::to_string(lazy_fig.rank1_updates),
-                     std::to_string(lazy_fig.refine_iterations)});
+                     std::to_string(lazy_fig.factor_attempts)});
       std::cout << "mass growth: add_paths(" << grow_batch << ") dense "
                 << batched_seconds << " s batched vs " << loop_seconds
                 << " s per-row (" << loop_seconds / batched_seconds
@@ -427,9 +416,9 @@ int main(int argc, char** argv) {
 
   std::cout << "The pair-indexed accumulator maintains only the sharing-pair "
                "covariance entries, so an overlay steady tick is O(np + "
-               "pairs) instead of O(np^2); churn events ride the rank-1/"
-               "stale-factor machinery — refactorizations stay flat across "
-               "churn rates.\n";
+               "pairs) instead of O(np^2); a relearn refactorizes the "
+               "normal equations whenever a pair flip or a churn event "
+               "changed them.\n";
   report.write(json_path);
   return 0;
 }

@@ -472,10 +472,9 @@ int scenario_mode(const util::Args& args) {
             << util::Table::num(outcome.max_tick_seconds, 5) << " s\n";
   if (const auto* eqs = runner.monitor().streaming_equations()) {
     std::cout << "factor cache: " << eqs->refactorizations()
-              << " refactorizations, " << eqs->rank1_updates()
-              << " rank-1 updates (" << eqs->pin_updates() << " pin borders), "
-              << eqs->refine_iterations() << " refinement steps, "
-              << eqs->links_pinned() << " links pinned\n";
+              << " refactorizations, " << eqs->factor_attempts()
+              << " factor attempts, " << eqs->links_pinned()
+              << " links pinned\n";
   }
   if (telemetry) {
     registry.write_file(metrics_file);

@@ -21,12 +21,8 @@ struct LiaMonitor::Telemetry {
   obs::Registry* registry;
   // Deterministic counters (serialized engine state).
   obs::Counter* ticks;
-  obs::Counter* rank1_updates;
   obs::Counter* refactorizations;
   obs::Counter* factor_attempts;
-  obs::Counter* pin_updates;
-  obs::Counter* pcg_iterations;
-  obs::Counter* downdate_fallbacks;
   obs::Counter* links_grown;
   obs::Counter* pairs;
   // Deterministic gauges (point-in-time serialized state).
@@ -47,12 +43,8 @@ struct LiaMonitor::Telemetry {
   explicit Telemetry(obs::Registry& r)
       : registry(&r),
         ticks(&r.counter("monitor.ticks")),
-        rank1_updates(&r.counter("monitor.rank1_updates")),
         refactorizations(&r.counter("monitor.refactorizations")),
         factor_attempts(&r.counter("monitor.factor_attempts")),
-        pin_updates(&r.counter("monitor.pin_updates")),
-        pcg_iterations(&r.counter("monitor.pcg_iterations")),
-        downdate_fallbacks(&r.counter("monitor.downdate_fallbacks")),
         links_grown(&r.counter("monitor.links_grown")),
         pairs(&r.counter("monitor.pairs")),
         paths(&r.gauge("monitor.paths")),
@@ -230,12 +222,8 @@ void LiaMonitor::publish_telemetry() {
   t.active_paths->set(static_cast<double>(active_path_count()));
   t.window_fill->set(static_cast<double>(window_fill()));
   if (const auto& eqs = stack_.equations) {
-    t.rank1_updates->set(eqs->rank1_updates());
     t.refactorizations->set(eqs->refactorizations());
     t.factor_attempts->set(eqs->factor_attempts());
-    t.pin_updates->set(eqs->pin_updates());
-    t.pcg_iterations->set(eqs->refine_iterations());
-    t.downdate_fallbacks->set(eqs->downdate_fallbacks());
     t.links_grown->set(eqs->links_grown());
     t.links_pinned->set(static_cast<double>(eqs->links_pinned()));
     t.pending_flips->set(static_cast<double>(eqs->pending_flips()));

@@ -24,9 +24,11 @@
 //       accumulator;
 //     - drop-negative: an incremental accumulator keeps the pair
 //       covariances current under rank-1 add/retire updates, and each
-//       refresh folds the pairs whose drop decision flipped into G and
-//       the cached factor.  The accumulator is selectable: the dense
-//       stats::StreamingMoments (full S, O(np^2) per tick) or the
+//       refresh folds the pairs whose drop decision flipped into G.  A
+//       relearn that finds G changed refactorizes it with the batch
+//       engine's ladder, so both engines take the same decisions on
+//       windows that leave G singular.  The accumulator is selectable:
+//       the dense stats::StreamingMoments (full S, O(np^2) per tick) or the
 //       pair-indexed core::PairMoments (sharing-pair entries only,
 //       O(np + pairs) per tick — the configuration that scales
 //       drop-negative monitoring to multi-thousand-path overlays).
@@ -161,7 +163,8 @@ class LiaMonitor {
   /// still filling (the first `window` snapshots are learning-only).
   /// `y.size()` must equal routing().rows() (throws
   /// std::invalid_argument).  Steady-state cost per tick (streaming
-  /// engine), plus the cached-factor O(nc^2) solve:
+  /// engine), plus the solve — O(nc^2) through the cached factor, and an
+  /// O(nc^3 / 3) refactorization when a drop-negative G has changed:
   ///  * keep-all: an O(np) window push + the closed-form refresh,
   ///    O(m np + m nnz(R));
   ///  * drop-negative: the accumulator update (O(np^2) dense, O(np +
@@ -213,7 +216,7 @@ class LiaMonitor {
   /// FRESH virtual links, appended to the link universe in the same step
   /// (streaming engine: bordered identity growth of the cached factor —
   /// fresh links enter identity-pinned with no refactorization, and unpin
-  /// through the usual border steps once warmed pairs cover them).  All
+  /// once warmed pairs cover them).  All
   /// appended paths start active with zero history.  Returns the first
   /// appended row's index.  Throws std::invalid_argument on an empty
   /// batch or malformed rows, std::logic_error for streaming engines not
@@ -243,9 +246,9 @@ class LiaMonitor {
     return options_.accumulator;
   }
   /// The streaming engine's incrementally maintained Phase-1 system, for
-  /// factor-cache diagnostics (refactorizations, rank-1 up/downdates, pair
-  /// store size); nullptr when the batch engine is driving, and until the
-  /// first snapshot (or restore) builds the stack.
+  /// factor-cache diagnostics (refactorizations, factor attempts, pending
+  /// flips, pair store size); nullptr when the batch engine is driving,
+  /// and until the first snapshot (or restore) builds the stack.
   [[nodiscard]] const StreamingNormalEquations* streaming_equations() const {
     return stack_.equations ? &*stack_.equations : nullptr;
   }
@@ -277,7 +280,8 @@ class LiaMonitor {
   // payload is parsed and validated into temporaries before any member
   // changes, so a failed restore leaves the monitor fully usable.  A
   // restored monitor resumes bit-identically and keeps its cached factor:
-  // zero refactorizations on resume.
+  // the resume itself refactorizes nothing, so the run's refactorization
+  // count equals the uninterrupted run's.
   void save_state(io::CheckpointWriter& writer) const;
   void restore_state(io::CheckpointReader& reader);
 

@@ -61,27 +61,6 @@ struct VarianceOptions {
   /// environment variable, else hardware concurrency).  Results are
   /// bit-identical at any thread count.
   std::size_t threads = 0;
-  /// Streaming drop-negative only: cumulative rank-1 factor up/downdates
-  /// (linalg::UpdatableCholesky) applied to the cached Cholesky factor
-  /// before a full refactorization is forced, bounding floating-point
-  /// drift of the incrementally maintained factor.  0 = automatic
-  /// (4 * link count).
-  std::size_t factor_update_cap = 0;
-  /// Streaming drop-negative only: pending flips (pair sign flips + churn
-  /// validity flips + pin border steps) a single solve will absorb as
-  /// rank-1 factor steps; beyond it the factor deliberately goes stale and
-  /// the solve leans on PCG refinement instead.  0 = automatic
-  /// (nc / 4 + 1 — past that, rank-1 work stops beating a
-  /// refactorization).  Deployments that churn in large bursts but want
-  /// the factor always current (e.g. to keep solve latency flat) can
-  /// raise it.
-  std::size_t factor_flip_threshold = 0;
-  /// Streaming drop-negative PCG refinement budget (stale/drifted cached
-  /// factor polished against the exact integer-maintained G): iterations
-  /// per solve before falling back to a full refactorization; <= 0
-  /// disables refinement entirely, so every inexact-factor tick
-  /// refactorizes.
-  int refine_max_iterations = 40;
   /// Drop-negative only: jitter-ladder rung (linalg::RegularizedCholesky
   /// escalation attempts; 1 = the base jitter) at which the solve abandons
   /// the regularized factorization and degrades through the pivoted
@@ -178,31 +157,23 @@ VarianceEstimate estimate_link_variances(const linalg::SparseBinaryMatrix& r,
 ///    constructing a monitor on a 10k+ path overlay costs nothing until
 ///    streaming actually starts.  Each refresh() re-reads every pair's
 ///    covariance; only pairs whose drop decision flipped touch G (exact
-///    integer +/-1 counts).  The cached Cholesky factor is reconciled at
-///    solve() time against the *pending* flip set (pairs whose state
-///    differs from the factor; a pair that flips back cancels out), in
-///    one of three modes:
-///      1. small pending set (<= nc/4): one rank-1 up/downdate per flip
-///         (linalg::UpdatableCholesky), O((nc - j0)^2) each;
-///      2. large pending set (sign-flip storms — thousands of
-///         near-zero-covariance pairs oscillate every tick): the factor
-///         stays deliberately stale and the solve runs iterative
-///         refinement against the exact G through it, O(nc^2) per step —
-///         the state difference vs the factor saturates rather than
-///         grows, so a recent factor keeps preconditioning G well;
-///      3. full refactorization, only when a downdate would lose positive
-///         definiteness, refinement stops contracting, or the cumulative
-///         rank-1 count reaches VarianceOptions::factor_update_cap
-///         (drift bound).
+///    integer +/-1 counts).  solve() has one factor rule: it reuses the
+///    cached Cholesky factor while G is exactly the factored G (no pair
+///    has flipped since the factorization), and otherwise refactorizes G
+///    with the batch engine's ladder — the same pivot floor, jitter rungs
+///    and rank-revealing fallback (rank_revealing_min_attempts).  The
+///    streaming engine therefore makes the batch engine's singular-window
+///    decisions by construction.  (An iterative solve through a stale
+///    factor cannot: h = A^T Sigma lies in range(G), so its Krylov space
+///    never meets null(G), and no test on that side sees a window that
+///    left G singular.)
 ///
 /// Under drop-negative, refresh() rebuilds h from the source's current pair
 /// covariances — cost proportional to the sharing structure, independent
-/// of the window length — and solve() yields the same clamped estimate as
-/// estimate_link_variances on an equal-valued source to refinement
-/// accuracy (residual <= 1e-13 * ||h||; <= 1e-10 parity observed on
-/// well-conditioned instances, and bit-identical on freshly refactorized
-/// ticks; methods kNormal and kNnls; kDenseQr callers must use the batch
-/// path).
+/// of the window length — and solve() factors the same integer G as
+/// estimate_link_variances on an equal-valued source, so the two estimates
+/// differ only by the summation order of h (<= 1e-10 observed; methods
+/// kNormal and kNnls; kDenseQr callers must use the batch path).
 ///
 /// Thread-safety: refresh() parallelizes internally (bit-identical at any
 /// VarianceOptions::threads); concurrent calls on one instance are not
@@ -240,16 +211,13 @@ class StreamingNormalEquations {
   // Dimension changes never resize the factor: G stays nc x nc, and a link
   // whose every pair equation is gone is *identity-pinned* (unit diagonal,
   // zero elsewhere — its variance solves to exactly 0).  A path join or
-  // leave therefore reaches the cached factor as a batch of rank-1
-  // +/- e_S e_S^T pair steps plus +/- e_a e_a^T pin/unpin steps — the
-  // bordered-update realization: pinned links sit as identity borders of
-  // the live block and are bordered in or out by rank-1 work, with the
-  // usual stale-factor PCG and full-refactorization fallbacks.
+  // leave therefore reaches G as integer pair flips plus pin/unpin steps
+  // on the diagonal, and the next solve() refactorizes the changed G.
   // Drop-negative only (throws std::logic_error under keep-all).
 
   /// Marks a path's pairs live/dead.  Going dead immediately flips its
-  /// kept pairs out of G (exact integer updates; the factor reconciles at
-  /// the next solve).  Builds the lazy pair store if needed.
+  /// kept pairs out of G (exact integer updates; the next solve
+  /// refactorizes).  Builds the lazy pair store if needed.
   void set_path_live(std::size_t path, bool live);
 
   /// Registers one appended path (row r.rows()-1 of the grown routing
@@ -271,21 +239,22 @@ class StreamingNormalEquations {
   /// links have no kept pair equation yet, so they enter identity-pinned:
   /// G becomes diag(G, I) exactly, and the cached factor follows by
   /// bordered identity growth (linalg::UpdatableCholesky::append_identity)
-  /// — no refactorization, no rank-1 work.  Pairs covering the new links
-  /// later unpin them through the usual refresh()/flip border steps.
+  /// — no refactorization (a jittered factor, which represents G + j*I,
+  /// is dropped instead).  Pairs covering the new links later unpin them
+  /// through refresh().
   /// Drop-negative only (throws std::logic_error under keep-all).
   void grow_links(std::size_t count);
 
-  /// Solves the current system for v, reusing the cached (possibly
-  /// up/downdated) factorization while it is valid.  Requires a prior
-  /// refresh().
+  /// Solves the current system for v, reusing the cached factorization
+  /// while G is exactly the factored G and refactorizing otherwise.
+  /// Requires a prior refresh().
   [[nodiscard]] VarianceEstimate solve();
 
   [[nodiscard]] const NormalEquations& system() const { return sys_; }
   [[nodiscard]] bool drop_negative() const { return drop_negative_; }
   /// Full Cholesky factorizations performed so far (1 after the first
-  /// solve under keep-all; under drop-negative grows only on the fallback
-  /// conditions listed above).
+  /// solve under keep-all; under drop-negative one more for every solve
+  /// that finds G changed since the cached factor).
   [[nodiscard]] std::size_t refactorizations() const {
     return refactorizations_;
   }
@@ -295,27 +264,20 @@ class StreamingNormalEquations {
   [[nodiscard]] std::size_t factor_attempts() const {
     return factor_attempts_;
   }
-  /// Rank-1 factor up/downdates applied so far (drop-negative only),
-  /// including the pin/unpin border steps.
-  [[nodiscard]] std::size_t rank1_updates() const { return rank1_updates_; }
-  /// Pin/unpin border steps among rank1_updates() (links entering/leaving
-  /// the identity-pinned state on the factor).
-  [[nodiscard]] std::size_t pin_updates() const { return pin_updates_; }
+  /// Always 0: the factor is never up- or downdated.  Kept for report code
+  /// that prints the factor-cache counters.
+  [[nodiscard]] std::size_t rank1_updates() const { return 0; }
   /// Fresh virtual links absorbed mid-run via bordered identity growth
   /// (grow_links), each entering pinned without a refactorization.
   [[nodiscard]] std::size_t links_grown() const { return links_grown_; }
   /// Links currently identity-pinned (no kept pair equation covers them).
   [[nodiscard]] std::size_t links_pinned() const { return pins_active_; }
-  /// Failed downdates that forced a refactorization.
-  [[nodiscard]] std::size_t downdate_fallbacks() const {
-    return downdate_fallbacks_;
-  }
-  /// Iterative-refinement steps run against stale or drifted factors.
-  [[nodiscard]] std::size_t refine_iterations() const {
-    return refine_iterations_;
-  }
-  /// Pairs whose kept/dropped state currently differs from the factor.
-  [[nodiscard]] std::size_t pending_flips() const { return pending_live_; }
+  /// Always 0: no solve iterates through a stale factor.  Kept, like
+  /// rank1_updates(), for report code.
+  [[nodiscard]] std::size_t refine_iterations() const { return 0; }
+  /// Pair flips applied to G since the cached factor was computed — the
+  /// refactorization trigger of the next solve().
+  [[nodiscard]] std::size_t pending_flips() const { return pending_flips_; }
   /// The sharing-pair store: built lazily at the first drop-negative
   /// refresh (or shared from construction); nullptr before that and always
   /// under keep-all.
@@ -328,10 +290,9 @@ class StreamingNormalEquations {
   // Serializes every piece of mutable state the incremental machinery
   // depends on: the integer-maintained G (drop-negative only: keep-all G
   // is a pure function of the routing, assembled once by the restore
-  // target's constructor) and rhs, the cached
-  // UpdatableCholesky factor (restored via from_state — NO refactorization
-  // on resume), the pending pair/pin flip queues with their membership
-  // marks, the kept-pair flags, link coverage and pin states, and all
+  // target's constructor) and rhs, the cached UpdatableCholesky factor
+  // (restored via from_state — NO refactorization on resume), the flips
+  // pending against it, the kept-pair flags, link coverage, and the
   // counters.  `store_external` is true when the pair store is owned by
   // someone else (the monitor's shared PairMoments store) and serialized
   // there; otherwise an owned store is embedded.  Structure derived purely
@@ -347,10 +308,7 @@ class StreamingNormalEquations {
  private:
   void ensure_store();
   void apply_flips(const std::vector<std::size_t>& flips);
-  void note_pin_change(std::size_t link);
-  bool reconcile_factor();
   void refactorize();
-  bool refine(linalg::Vector& v);
 
   VarianceOptions options_;
   std::size_t np_ = 0;
@@ -364,33 +322,19 @@ class StreamingNormalEquations {
   std::optional<linalg::SparseBinaryMatrix> pending_r_;
   std::shared_ptr<SharingPairStore> pairs_;
   std::vector<std::uint8_t> pair_kept_;
-  linalg::Vector flip_scratch_;  // shared-link indicator for up/downdates
-  // Pairs whose kept state diverged from the factor: queue + membership
-  // marks (an unmarked queue entry was cancelled by a flip-back).
-  std::vector<std::size_t> pending_;
-  std::vector<std::uint8_t> pending_mark_;
-  std::size_t pending_live_ = 0;
   // Identity pinning of links with no kept pair equation: kept-pair
-  // coverage count per link, the pin state reflected in G, and the pin
-  // changes the factor has not absorbed yet (queue + marks, like pairs).
+  // coverage count per link (a link is pinned in G while it reads 0).
   std::vector<std::uint32_t> coverage_;
-  std::vector<std::uint8_t> pinned_in_g_;
-  std::vector<std::size_t> pin_pending_;
-  std::vector<std::uint8_t> pin_pending_mark_;
-  std::size_t pin_pending_live_ = 0;
   std::size_t pins_active_ = 0;
   std::vector<std::size_t> path_pairs_scratch_;
   NormalEquations sys_;
-  bool factor_dirty_ = true;
+  // The factor of G as it stood pending_flips_ flips ago; empty before the
+  // first solve and after a growth that a jittered factor cannot follow.
   std::optional<linalg::UpdatableCholesky> factor_;
-  std::size_t factor_updates_ = 0;  // rank-1 steps since last refactorization
+  std::size_t pending_flips_ = 0;
   std::size_t refactorizations_ = 0;
   std::size_t factor_attempts_ = 0;
-  std::size_t rank1_updates_ = 0;
-  std::size_t pin_updates_ = 0;
   std::size_t links_grown_ = 0;
-  std::size_t downdate_fallbacks_ = 0;
-  std::size_t refine_iterations_ = 0;
 };
 
 }  // namespace losstomo::core

@@ -7,7 +7,7 @@
 // the streaming accumulators, the sharing-pair store, the incrementally
 // maintained normal equations with their cached Cholesky factor, the
 // monitor, the simulator, and the scenario runner position — so a restored
-// process resumes *bit-identically* mid-run with zero refactorizations.
+// process resumes *bit-identically* mid-run without refactorizing.
 //
 // File layout (all integers little-endian, fixed width):
 //
@@ -114,7 +114,7 @@ class CheckpointWriter {
   /// finish() + write to `file`; throws CheckpointError(kIo) on failure.
   void save(const std::string& file);
 
-  static constexpr std::uint32_t kVersion = 7;
+  static constexpr std::uint32_t kVersion = 8;
 
  private:
   std::vector<std::uint8_t> payload_;

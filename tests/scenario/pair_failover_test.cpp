@@ -74,8 +74,6 @@ core::MonitorOptions pair_options() {
   core::MonitorOptions options;
   options.accumulator = core::CovarianceAccumulator::kSharingPairs;
   options.lia.variance.threads = 1;
-  options.lia.variance.factor_flip_threshold = 1u << 20;
-  options.lia.variance.factor_update_cap = 1u << 20;
   return options;
 }
 
@@ -128,9 +126,9 @@ void expect_pair_resume(const ScenarioSpec& spec,
   }
   const auto* eqs = runner.monitor().streaming_equations();
   ASSERT_NE(eqs, nullptr) << label;
+  // The factor is carried across the restore: the resumed run
+  // refactorizes exactly where the uninterrupted one did.
   EXPECT_EQ(eqs->refactorizations(), ref.refactorizations) << label;
-  EXPECT_EQ(eqs->refactorizations(), 1u) << label;
-  EXPECT_EQ(eqs->downdate_fallbacks(), 0u) << label;
 
   // The restored monitor runs the pair accumulator again, over a store
   // that covers every (grown) path.
@@ -148,7 +146,9 @@ TEST(PairFailover, KillAtEveryTickResumesBitIdentically) {
   const auto options = pair_options();
   const auto ref = uninterrupted(spec, options);
   ASSERT_EQ(ref.images.size(), spec.ticks);
-  ASSERT_EQ(ref.refactorizations, 1u);
+  // The run refactorizes on later ticks, so every kill point restores a
+  // factor that the resumed run must carry and later replace.
+  ASSERT_GT(ref.refactorizations, 1u);
   for (std::size_t kill_at = 1; kill_at < spec.ticks; ++kill_at) {
     expect_pair_resume(spec, options, ref, kill_at,
                        "kill_at=" + std::to_string(kill_at));
@@ -159,7 +159,7 @@ TEST(PairFailover, GrowLinksDrillResumesAcrossUniverseGrowth) {
   const auto spec = grow_links_drill_spec();
   const auto options = pair_options();
   const auto ref = uninterrupted(spec, options);
-  ASSERT_EQ(ref.refactorizations, 1u);
+  ASSERT_GT(ref.refactorizations, 1u);
   // Curated kill points: mid-warmup, right after the window fills,
   // straight after each grow_links burst, and late in the run.
   for (const std::size_t kill_at : {12u, 31u, 41u, 56u, 65u}) {

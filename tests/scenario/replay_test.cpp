@@ -103,7 +103,7 @@ TEST(ScenarioReplay, ReplayIsBitIdenticalAcrossThreadCounts) {
     const auto* eqs = replayer.monitor().streaming_equations();
     ASSERT_NE(eqs, nullptr) << label;
     EXPECT_EQ(eqs->refactorizations(), ref_eqs->refactorizations()) << label;
-    EXPECT_EQ(eqs->rank1_updates(), ref_eqs->rank1_updates()) << label;
+    EXPECT_EQ(eqs->factor_attempts(), ref_eqs->factor_attempts()) << label;
     // Events still applied on schedule during replay.
     EXPECT_EQ(replayer.events_applied(), recorder.events_applied()) << label;
   }
