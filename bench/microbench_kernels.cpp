@@ -221,15 +221,13 @@ int main(int argc, char** argv) {
     });
 
     // --- Cholesky of the drop-negative G ----------------------------------
-    // The matrix the streaming solve factors: links no kept equation
-    // covers are identity-pinned, and the jitter ladder's successful rung
-    // is applied, with the drop-negative pivot floor.
+    // The matrix the solve factors: links no kept equation covers come
+    // back identity-pinned from build_normal_equations, and the jitter
+    // ladder's successful rung is applied, with the drop-negative pivot
+    // floor.
     linalg::Matrix g = core::build_normal_equations(r, y, blocked_opts).g;
     double max_diag = 0.0;
-    for (std::size_t k = 0; k < nc; ++k) {
-      if (g(k, k) == 0.0) g(k, k) = 1.0;
-      max_diag = std::max(max_diag, g(k, k));
-    }
+    for (std::size_t k = 0; k < nc; ++k) max_diag = std::max(max_diag, g(k, k));
     const double min_pivot = 1e-12 * max_diag;
     const linalg::RegularizedCholesky ladder(g, 1e-12, 6, 1e-12, 1);
     for (std::size_t k = 0; k < nc; ++k) g(k, k) += ladder.jitter_used();

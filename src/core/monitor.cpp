@@ -429,8 +429,6 @@ void LiaMonitor::observe_block(std::span<const double> values,
     throw std::invalid_argument("observe_block size != rows * paths");
   }
   for (std::size_t r = 0; r < rows; ++r) {
-    obs::Span tick_span(obs_ ? obs_->registry : nullptr,
-                        obs_ ? obs_->tick_phase : 0);
     const auto inference = observe(values.subspan(r * np, np));
     if (on_inference && inference) on_inference(ticks_ - 1, *inference);
   }
@@ -440,6 +438,10 @@ std::optional<LossInference> LiaMonitor::observe(std::span<const double> y) {
   if (y.size() != r_.rows()) {
     throw std::invalid_argument("snapshot size");
   }
+  // Root span of the tick; inside ScenarioRunner::step's own tick span it
+  // folds into that one (obs::Span), so a tick is counted once.
+  obs::Span tick_span(obs_ ? obs_->registry : nullptr,
+                      obs_ ? obs_->tick_phase : 0);
   ++ticks_;
   std::optional<LossInference> result;
   if (window_fill() == options_.window) {

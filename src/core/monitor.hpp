@@ -25,13 +25,14 @@
 //     - drop-negative: an incremental accumulator keeps the pair
 //       covariances current under rank-1 add/retire updates, and each
 //       refresh folds the pairs whose drop decision flipped into G.  A
-//       relearn that finds G changed refactorizes it with the batch
-//       engine's ladder, so both engines take the same decisions on
-//       windows that leave G singular.  The accumulator is selectable:
-//       the dense stats::StreamingMoments (full S, O(np^2) per tick) or the
-//       pair-indexed core::PairMoments (sharing-pair entries only,
-//       O(np + pairs) per tick — the configuration that scales
-//       drop-negative monitoring to multi-thousand-path overlays).
+//       relearn that finds G changed (on every measured workload, every
+//       relearn) refactorizes it; the batch estimate runs the same
+//       StreamingNormalEquations code, so both engines take the same
+//       decisions on windows that leave G singular.  The accumulator is
+//       selectable: the dense stats::StreamingMoments (full S, O(np^2)
+//       per tick) or the pair-indexed core::PairMoments (sharing-pair
+//       entries only, O(np + pairs) per tick — the configuration that
+//       scales drop-negative monitoring to multi-thousand-path overlays).
 //  * kBatch — the reference path: rebuild the m x np snapshot matrix and
 //    run the full Phase-1 estimate from scratch every relearn.  Retained
 //    for parity tests, and required for VarianceMethod::kDenseQr (the
@@ -125,7 +126,8 @@ struct MonitorOptions {
   std::size_t refresh_every = 0;
   /// Telemetry sink (obs/registry.hpp); nullptr (the default) leaves the
   /// monitor uninstrumented.  The monitor registers its metric set, opens
-  /// accumulate/solve phase spans around the per-tick work, and publishes
+  /// a tick span around every observe() with accumulate/solve phase spans
+  /// around the per-tick work inside it, and publishes
   /// the deterministic counter set from serialized engine state at the end
   /// of every observe() — so the published values are bit-identical across
   /// thread counts and a checkpoint/restore (see docs/OBSERVABILITY.md).
@@ -163,8 +165,10 @@ class LiaMonitor {
   /// still filling (the first `window` snapshots are learning-only).
   /// `y.size()` must equal routing().rows() (throws
   /// std::invalid_argument).  Steady-state cost per tick (streaming
-  /// engine), plus the solve — O(nc^2) through the cached factor, and an
-  /// O(nc^3 / 3) refactorization when a drop-negative G has changed:
+  /// engine), plus the solve — under keep-all O(nc^2) through the cached
+  /// factor; under drop-negative an O(nc^3 / 3) refactorization whenever a
+  /// pair flipped, which on every measured drop-negative workload is every
+  /// relearn:
   ///  * keep-all: an O(np) window push + the closed-form refresh,
   ///    O(m np + m nnz(R));
   ///  * drop-negative: the accumulator update (O(np^2) dense, O(np +

@@ -13,11 +13,13 @@
 // appears in the path list of some link of i.
 //
 //  * PartnerFinder — stamp-based candidate discovery, O(sum over links of i
-//    of |paths(link)|) per row plus a sort; no allocation per call.  Used
-//    directly by the one-shot batch accumulation (no storage).
-//  * SharingPairStore — CSR-style materialization for streaming consumers
-//    that re-read the pairs every tick: per-path pair ranges, partner
-//    indices, and the shared-link sublists, all in flat arrays.  Memory is
+//    of |paths(link)|) per row plus a sort; no allocation per call.  It
+//    runs only inside SharingPairStore::build.
+//  * SharingPairStore — CSR-style materialization serving every
+//    drop-negative consumer (StreamingNormalEquations, in a monitor that
+//    re-reads the pairs every tick and in a one-shot batch estimate alike):
+//    per-path pair ranges, partner indices, and the shared-link sublists,
+//    all in flat arrays.  Memory is
 //    O(sharing pairs + shared-link entries) — the sharing structure's nnz —
 //    never O(np^2).  Construction is chunk-parallel and deterministic
 //    (results are identical at any thread count).

@@ -1,9 +1,10 @@
 #include "core/variance_estimator.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <span>
 #include <stdexcept>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/augmented_matrix.hpp"
@@ -20,11 +21,10 @@ namespace {
 
 // Retained scalar reference of the pairwise accumulation (drop-negative
 // policy): every path pair recomputes its sample covariance with an O(m)
-// inner loop.  The blocked path below must match it to last-ulps rounding;
+// inner loop.  The engine's refresh must match it to last-ulps rounding;
 // the parity tests enforce that.
 NormalEquations accumulate_pairwise_reference(
-    const linalg::SparseBinaryMatrix& r, const stats::CenteredSnapshots& y,
-    bool drop_negative) {
+    const linalg::SparseBinaryMatrix& r, const stats::CenteredSnapshots& y) {
   const std::size_t np = r.rows();
   const std::size_t nc = r.cols();
   const std::size_t m = y.count();
@@ -42,7 +42,7 @@ NormalEquations accumulate_pairwise_reference(
         cov += row[i] * row[j];
       }
       cov /= static_cast<double>(m - 1);
-      if (drop_negative && cov < 0.0) {
+      if (cov < 0.0) {
         ++sys.dropped;
         continue;
       }
@@ -54,207 +54,6 @@ NormalEquations accumulate_pairwise_reference(
     }
   }
   return sys;
-}
-
-// Deterministic estimate of the pair-sharing structure: how many path
-// pairs share at least one link (fraction f) and how many links a sharing
-// pair shares on average.  Samples up to `kSamples` pairs on a fixed stride
-// over the packed upper-triangle pair index — no RNG, no dependence on the
-// thread count.
-struct SharingEstimate {
-  double fraction = 0.0;      // sharing pairs / all pairs
-  double mean_shared = 0.0;   // avg |shared| over sharing samples
-};
-
-SharingEstimate estimate_sharing(const linalg::SparseBinaryMatrix& r) {
-  const std::size_t np = r.rows();
-  const std::size_t total = pair_count(np);
-  constexpr std::size_t kSamples = 2048;
-  const std::size_t stride = std::max<std::size_t>(1, total / kSamples);
-  std::vector<std::uint32_t> shared;
-  std::size_t samples = 0, sharing = 0, shared_links = 0;
-  std::size_t i = 0;
-  std::size_t row_base = 0;  // packed index of pair (i, i)
-  for (std::size_t p = 0; p < total; p += stride) {
-    while (p >= row_base + (np - i)) {
-      row_base += np - i;
-      ++i;
-    }
-    const std::size_t j = i + (p - row_base);
-    linalg::intersect_sorted(r.row(i), r.row(j), shared);
-    ++samples;
-    if (!shared.empty()) {
-      ++sharing;
-      shared_links += shared.size();
-    }
-  }
-  SharingEstimate est;
-  if (samples > 0) {
-    est.fraction = static_cast<double>(sharing) / static_cast<double>(samples);
-  }
-  if (sharing > 0) {
-    est.mean_shared =
-        static_cast<double>(shared_links) / static_cast<double>(sharing);
-  }
-  return est;
-}
-
-// Blocked/parallel pairwise accumulation over a CovarianceSource.  Two
-// covariance strategies, chosen from the sampled sharing structure (a pure
-// function of the problem, so the choice is reproducible):
-//  * dense sharing — or any source that already holds S (streaming
-//    accumulators): read S(i, j) per pair, removing the seed's O(m) inner
-//    loop from every pair;
-//  * sparse sharing on a batch source: most pairs carry no equation, so
-//    both the covariances AND the pair visits themselves are wasted work —
-//    candidate discovery through the column lists (core/sharing_pairs.hpp
-//    PartnerFinder) enumerates only the pairs that share a link, and the
-//    on-demand per-pair covariance runs for exactly those.  The visited
-//    sharing pairs come back in the same (i asc, j asc) order the full
-//    upper-triangle scan produced, so the accumulated sums are unchanged.
-// Either way G/h are folded over path-row chunks with per-chunk partials;
-// chunk boundaries depend only on the problem size, so the reduction order
-// — and therefore the result — is bit-identical at any thread count.
-//
-// Caveat vs the scalar reference: under the matrix strategy a pair whose
-// true covariance sits within an ulp of zero can round to the opposite sign
-// than the scalar sum and flip its drop decision (one whole equation).  The
-// parity guarantee therefore assumes no covariance is exactly at the zero
-// boundary — sampling noise makes that measure-zero in practice.
-NormalEquations accumulate_pairwise_blocked(const linalg::SparseBinaryMatrix& r,
-                                            const stats::CovarianceSource& y,
-                                            bool drop_negative,
-                                            std::size_t threads) {
-  const std::size_t np = r.rows();
-  const std::size_t nc = r.cols();
-  const std::size_t m = y.count();
-  if (np == 0) {
-    return NormalEquations{linalg::Matrix(nc, nc), linalg::Vector(nc, 0.0)};
-  }
-  const SharingEstimate sharing = estimate_sharing(r);
-  // The full matrix pays off once a meaningful fraction of pairs would
-  // otherwise run the O(m) scalar loop — or comes for free from the source.
-  const bool use_matrix = sharing.fraction >= 0.125 || y.matrix_is_cheap();
-  const linalg::Matrix* s = use_matrix ? &y.matrix() : nullptr;
-  const std::span<const double> flat = use_matrix ? std::span<const double>{}
-                                                  : y.centered_flat();
-
-  // Balance chunk count against the per-chunk partial cost: each extra
-  // chunk buys 1/chunks of the pair-loop work but costs an nc^2 partial
-  // (copy-init + reduce).  All inputs are problem sizes or the
-  // deterministic sharing sample, never the thread count.
-  double row_len = 0.0;
-  for (std::size_t i = 0; i < np; ++i) row_len += static_cast<double>(r.row(i).size());
-  row_len /= static_cast<double>(std::max<std::size_t>(np, 1));
-  const double pair_ops =
-      static_cast<double>(pair_count(np)) *
-      (2.0 * row_len +
-       sharing.fraction * (sharing.mean_shared * sharing.mean_shared +
-                           (use_matrix ? 1.0 : static_cast<double>(m))));
-  const double chunk_overhead = 4.0 * static_cast<double>(nc) * static_cast<double>(nc);
-  const std::size_t partial_bytes = nc * nc * sizeof(double) + nc * sizeof(double);
-  const std::size_t budget_chunks = std::max<std::size_t>(
-      1, (std::size_t{1} << 28) / std::max<std::size_t>(partial_bytes, 1));
-  const std::size_t want_chunks = static_cast<std::size_t>(std::clamp(
-      pair_ops / (8.0 * chunk_overhead), 1.0, 32.0));
-  const std::size_t chunks = std::min({want_chunks, budget_chunks, np});
-
-  // Sparse sharing: visit only the pairs that share a link, discovered
-  // through the transpose incidence.  The column lists are shared across
-  // chunks; each chunk owns its PartnerFinder (stamp array).
-  const std::vector<std::vector<std::uint32_t>> columns =
-      use_matrix ? std::vector<std::vector<std::uint32_t>>{}
-                 : r.column_lists();
-
-  const auto body = [&](NormalEquations& part, std::size_t i_begin,
-                        std::size_t i_end) {
-        std::vector<std::uint32_t> shared;
-        std::optional<PartnerFinder> finder;
-        std::vector<std::uint32_t> partners;
-        if (!use_matrix) finder.emplace(r, columns);
-        const auto accumulate = [&](std::size_t i, std::size_t j,
-                                    const double* si) {
-          linalg::intersect_sorted(r.row(i), r.row(j), shared);
-          if (shared.empty()) return;
-          double cov;
-          if (use_matrix) {
-            cov = si[j];
-          } else if (!flat.empty()) {
-            // On-demand covariance, identical to the scalar reference.
-            cov = 0.0;
-            const double* pi = flat.data() + i;
-            const double* pj = flat.data() + j;
-            for (std::size_t l = 0; l < m; ++l, pi += np, pj += np) {
-              cov += *pi * *pj;
-            }
-            cov /= static_cast<double>(m - 1);
-          } else {
-            cov = y.covariance(i, j);
-          }
-          if (drop_negative && cov < 0.0) {
-            ++part.dropped;
-            return;
-          }
-          ++part.used;
-          for (const auto a : shared) {
-            part.h[a] += cov;
-            for (const auto b : shared) part.g(a, b) += 1.0;
-          }
-        };
-        for (std::size_t i = i_begin; i < i_end; ++i) {
-          if (use_matrix) {
-            const double* si = s->row(i).data();
-            for (std::size_t j = i; j < np; ++j) accumulate(i, j, si);
-          } else {
-            finder->partners_of(i, partners);
-            for (const auto j : partners) accumulate(i, j, nullptr);
-          }
-        }
-  };
-
-  NormalEquations acc{linalg::Matrix(nc, nc), linalg::Vector(nc, 0.0)};
-  if (chunks <= 1) {
-    body(acc, 0, np);
-    return acc;
-  }
-
-  // Chunk boundaries balanced by *pair* count: row i carries np - i pairs,
-  // so equal-width row ranges would load the first chunk with ~2x the
-  // average work and cap parallel scaling.  Boundaries depend only on
-  // (np, chunks) — the fixed reduction order below is untouched.
-  std::vector<std::size_t> bounds(chunks + 1, np);
-  bounds[0] = 0;
-  {
-    const double per_chunk =
-        static_cast<double>(pair_count(np)) / static_cast<double>(chunks);
-    std::size_t i = 0;
-    double covered = 0.0;
-    for (std::size_t c = 1; c < chunks; ++c) {
-      const double target = per_chunk * static_cast<double>(c);
-      while (i < np && covered < target) {
-        covered += static_cast<double>(np - i);
-        ++i;
-      }
-      bounds[c] = i;
-    }
-  }
-
-  std::vector<NormalEquations> partials(chunks, acc);
-  util::ThreadPool::global().run(
-      chunks,
-      [&](std::size_t c) { body(partials[c], bounds[c], bounds[c + 1]); },
-      threads);
-  acc = std::move(partials.front());
-  for (std::size_t c = 1; c < chunks; ++c) {
-    const NormalEquations& part = partials[c];
-    auto& gd = acc.g.data();
-    const auto& pd = part.g.data();
-    for (std::size_t idx = 0; idx < gd.size(); ++idx) gd[idx] += pd[idx];
-    for (std::size_t k = 0; k < acc.h.size(); ++k) acc.h[k] += part.h[k];
-    acc.used += part.used;
-    acc.dropped += part.dropped;
-  }
-  return acc;
 }
 
 // The centred window samples the keep-all closed form reads: it needs the
@@ -271,26 +70,12 @@ std::span<const double> keep_all_samples(
   return centered;
 }
 
-// Closed-form accumulation keeping all equations (policy kKeep) from
-// `count` centred snapshots.  Both the normal matrix and the right-hand
-// side are assembled in parallel inside core/augmented_matrix.cpp.
-NormalEquations accumulate_closed_form(const linalg::SparseBinaryMatrix& r,
-                                       std::span<const double> centered,
-                                       std::size_t count,
-                                       std::size_t threads) {
-  NormalEquations sys;
-  const linalg::CoTraversalGram gram(r);
-  sys.g = augmented_normal_matrix(gram, threads);
-  sys.h = augmented_normal_rhs(centered, count, r.column_lists(), threads);
-  sys.used = pair_count(r.rows());
-  return sys;
-}
-
 // Retained scalar reference of the closed form: the seed's sequential
 // sweeps (snapshot-outer path-variance accumulation, serial per-link
-// sums).  The parallel version above preserves every per-element summation
-// order, so the parity tests assert the two are equal — this function is
-// what makes that assertion meaningful.
+// sums).  The engine's parallel closed form (augmented_matrix.cpp)
+// preserves every per-element summation order, so the parity tests assert
+// the two are equal — this function is what makes that assertion
+// meaningful.
 NormalEquations accumulate_closed_form_reference(
     const linalg::SparseBinaryMatrix& r, const stats::CenteredSnapshots& y) {
   NormalEquations sys;
@@ -332,8 +117,7 @@ NormalEquations accumulate_closed_form_reference(
 // pinned to zero variance — the same degradation the dense-QR path gets
 // from its pivoted fallback, instead of a jitter-amplified solution on the
 // full singular system.  Deterministic: pivot selection depends only on G,
-// which both the batch accumulation and the streaming integer maintenance
-// produce exactly.
+// which the integer maintenance produces exactly.
 linalg::Vector solve_rank_revealing(const linalg::Matrix& g,
                                     const linalg::Vector& h,
                                     std::size_t& pinned,
@@ -356,23 +140,6 @@ linalg::Vector solve_rank_revealing(const linalg::Matrix& g,
   return v;
 }
 
-// Identity-pins the links no kept pair equation covers: their G row and
-// column are exactly zero (integer counts), so a unit diagonal decouples
-// them — v = h / 1 = 0 — without perturbing any live link.  Applied only
-// under drop-negative: a reduced routing matrix has no all-zero column, so
-// keep-all diagonals are always positive on a full path set, and churned
-// (submatrix) systems resolve the policy to drop-negative.
-std::size_t pin_uncovered_links(NormalEquations& sys) {
-  std::size_t pinned = 0;
-  for (std::size_t a = 0; a < sys.g.rows(); ++a) {
-    if (sys.g(a, a) == 0.0) {
-      sys.g(a, a) = 1.0;
-      ++pinned;
-    }
-  }
-  return pinned;
-}
-
 VarianceEstimate finish(linalg::Vector v, VarianceEstimate partial) {
   for (auto& value : v) {
     if (value < 0.0) {
@@ -384,20 +151,12 @@ VarianceEstimate finish(linalg::Vector v, VarianceEstimate partial) {
   return partial;
 }
 
-NormalEquations build_normal_equations_centered(
-    const linalg::SparseBinaryMatrix& r, const stats::CenteredSnapshots& centered,
-    const VarianceOptions& options) {
-  if (!resolve_negative_policy(options, r.rows())) {
-    return options.use_reference_impl
-               ? accumulate_closed_form_reference(r, centered)
-               : accumulate_closed_form(r, centered.flat(), centered.count(),
-                                        options.threads);
-  }
-  if (options.use_reference_impl) {
-    return accumulate_pairwise_reference(r, centered, true);
-  }
-  const stats::BatchCovarianceSource source(centered, options.threads);
-  return accumulate_pairwise_blocked(r, source, true, options.threads);
+// The scalar reference system (VarianceOptions::use_reference_impl).
+NormalEquations reference_system(const linalg::SparseBinaryMatrix& r,
+                                 const stats::CenteredSnapshots& centered,
+                                 bool drop_negative) {
+  return drop_negative ? accumulate_pairwise_reference(r, centered)
+                       : accumulate_closed_form_reference(r, centered);
 }
 
 // Paper-exact dense path: materialise A, drop rows whose packed covariance
@@ -452,41 +211,21 @@ VarianceEstimate dense_qr_estimate(const linalg::SparseBinaryMatrix& r,
   return finish(linalg::PivotedQr(a).solve_basic(sigma), std::move(est));
 }
 
-// Shared normal-equation tail of both estimate_link_variances overloads.
-VarianceEstimate solve_normal_system(NormalEquations sys, VarianceMethod method,
-                                     bool drop_negative,
-                                     const VarianceOptions& options) {
-  VarianceEstimate est;
-  est.equations_used = sys.used;
-  est.equations_dropped = sys.dropped;
-  if (drop_negative) est.links_pinned = pin_uncovered_links(sys);
+// Batch estimation is the streaming engine with no history: one refresh
+// (or an adopted reference system), one solve.  The estimate carries the
+// engine's method string without its "streaming-" prefix.
+VarianceEstimate solve_once(StreamingNormalEquations& equations) {
+  VarianceEstimate est = equations.solve();
+  est.method.erase(0, std::string_view("streaming-").size());
+  return est;
+}
 
-  if (method == VarianceMethod::kNnls) {
-    est.method = drop_negative ? "nnls(drop-negative)" : "nnls(keep-all)";
-    auto result = linalg::nnls_gram(sys.g, sys.h);
-    return finish(std::move(result.x), std::move(est));
+void check_snapshots(const linalg::SparseBinaryMatrix& r,
+                     const stats::SnapshotMatrix& y) {
+  if (y.dim() != r.rows()) {
+    throw std::invalid_argument("snapshot dimension != path count");
   }
-
-  est.method = drop_negative ? "normal(drop-negative)" : "normal(closed-form)";
-  // Drop-negative G is integer-exact, so an exactly-singular system can
-  // compute a rounding-level "positive" pivot and sail through a plain
-  // factorization; the relative pivot floor forces such systems into the
-  // jitter ladder (and from there the rank-revealing fallback).
-  const linalg::RegularizedCholesky chol(
-      sys.g, 1e-12, 6, drop_negative ? 1e-12 : 0.0, options.threads);
-  if (drop_negative && options.rank_revealing_min_attempts > 0 &&
-      chol.jitter_attempts() >= options.rank_revealing_min_attempts) {
-    // Equation drops left G rank-deficient beyond both the zero-diagonal
-    // pins and the configured jitter tolerance: degrade by pinning the
-    // deficient pivots instead of amplifying the jitter.
-    est.method = "normal(drop-negative,rank-revealing)";
-    std::size_t pinned = 0;
-    auto v = solve_rank_revealing(sys.g, sys.h, pinned, options.threads);
-    est.links_pinned += pinned;
-    return finish(std::move(v), std::move(est));
-  }
-  est.jitter_used = chol.jitter_used();
-  return finish(chol.solve(sys.h), std::move(est));
+  if (y.count() < 2) throw std::invalid_argument("need >= 2 snapshots");
 }
 
 }  // namespace
@@ -506,77 +245,60 @@ bool resolve_negative_policy(const VarianceOptions& options, std::size_t np) {
 NormalEquations build_normal_equations(const linalg::SparseBinaryMatrix& r,
                                        const stats::SnapshotMatrix& y,
                                        const VarianceOptions& options) {
-  if (y.dim() != r.rows()) {
-    throw std::invalid_argument("snapshot dimension != path count");
-  }
-  if (y.count() < 2) throw std::invalid_argument("need >= 2 snapshots");
+  check_snapshots(r, y);
   const stats::CenteredSnapshots centered(y);
-  return build_normal_equations_centered(r, centered, options);
+  if (options.use_reference_impl) {
+    const bool drop_negative = resolve_negative_policy(options, r.rows());
+    StreamingNormalEquations equations(
+        reference_system(r, centered, drop_negative), options, drop_negative);
+    return std::move(equations).system();
+  }
+  return build_normal_equations(
+      r, stats::BatchCovarianceSource(centered, options.threads), options);
 }
 
 NormalEquations build_normal_equations(const linalg::SparseBinaryMatrix& r,
                                        const stats::CovarianceSource& source,
                                        const VarianceOptions& options) {
-  if (source.dim() != r.rows()) {
-    throw std::invalid_argument("source dimension != path count");
-  }
-  if (source.count() < 2) throw std::invalid_argument("need >= 2 snapshots");
-  if (resolve_negative_policy(options, r.rows())) {
-    return accumulate_pairwise_blocked(r, source, true, options.threads);
-  }
-  return accumulate_closed_form(r, keep_all_samples(source), source.count(),
-                                options.threads);
+  StreamingNormalEquations equations(r, options);
+  equations.refresh(source);
+  return std::move(equations).system();
 }
 
 VarianceEstimate estimate_link_variances(const linalg::SparseBinaryMatrix& r,
                                          const stats::SnapshotMatrix& y,
                                          const VarianceOptions& options) {
-  if (y.dim() != r.rows()) {
-    throw std::invalid_argument("snapshot dimension != path count");
-  }
-  if (y.count() < 2) throw std::invalid_argument("need >= 2 snapshots");
+  check_snapshots(r, y);
   const stats::CenteredSnapshots centered(y);
-
-  // Resolve the auto knobs.
-  VarianceMethod method = options.method;
-  if (method == VarianceMethod::kAuto) {
-    method = VarianceMethod::kNormal;
+  if (!options.use_reference_impl) {
+    return estimate_link_variances(
+        r, stats::BatchCovarianceSource(centered, options.threads), options);
   }
   const bool drop_negative = resolve_negative_policy(options, r.rows());
-
-  if (method == VarianceMethod::kDenseQr) {
-    const auto sigma_full =
-        options.use_reference_impl
-            ? packed_covariances(centered)
-            : packed_covariances(
-                  stats::covariance_matrix(centered, options.threads));
-    return dense_qr_estimate(r, sigma_full, drop_negative, options);
+  if (options.method == VarianceMethod::kDenseQr) {
+    return dense_qr_estimate(r, packed_covariances(centered), drop_negative,
+                             options);
   }
-
-  return solve_normal_system(build_normal_equations_centered(r, centered, options),
-                             method, drop_negative, options);
+  StreamingNormalEquations equations(
+      reference_system(r, centered, drop_negative), options, drop_negative);
+  return solve_once(equations);
 }
 
 VarianceEstimate estimate_link_variances(const linalg::SparseBinaryMatrix& r,
                                          const stats::CovarianceSource& source,
                                          const VarianceOptions& options) {
-  if (source.dim() != r.rows()) {
-    throw std::invalid_argument("source dimension != path count");
-  }
-  if (source.count() < 2) throw std::invalid_argument("need >= 2 snapshots");
-
-  VarianceMethod method = options.method;
-  if (method == VarianceMethod::kAuto) {
-    method = VarianceMethod::kNormal;
-  }
-  const bool drop_negative = resolve_negative_policy(options, r.rows());
-
-  if (method == VarianceMethod::kDenseQr) {
+  if (options.method == VarianceMethod::kDenseQr) {
+    if (source.dim() != r.rows()) {
+      throw std::invalid_argument("source dimension != path count");
+    }
+    if (source.count() < 2) throw std::invalid_argument("need >= 2 snapshots");
     return dense_qr_estimate(r, packed_covariances(source.matrix()),
-                             drop_negative, options);
+                             resolve_negative_policy(options, r.rows()),
+                             options);
   }
-  return solve_normal_system(build_normal_equations(r, source, options), method,
-                             drop_negative, options);
+  StreamingNormalEquations equations(r, options);
+  equations.refresh(source);
+  return solve_once(equations);
 }
 
 StreamingNormalEquations::StreamingNormalEquations(
@@ -621,6 +343,27 @@ StreamingNormalEquations::StreamingNormalEquations(
   pair_kept_.assign(pairs_->pair_count(), 0);
   pending_r_.reset();
 }
+
+StreamingNormalEquations::StreamingNormalEquations(NormalEquations sys,
+                                                   const VarianceOptions& options,
+                                                   bool drop_negative)
+    : options_(options),
+      nc_(sys.g.rows()),
+      drop_negative_(drop_negative),
+      refreshed_(true),
+      sys_(std::move(sys)) {
+  if (!drop_negative_) return;
+  // A link no kept equation covers has an all-zero G row: identity-pin it,
+  // as apply_flips pins a link whose coverage reaches 0.
+  for (std::size_t a = 0; a < nc_; ++a) {
+    if (sys_.g(a, a) == 0.0) {
+      sys_.g(a, a) = 1.0;
+      ++pins_active_;
+    }
+  }
+}
+
+StreamingNormalEquations::~StreamingNormalEquations() = default;
 
 void StreamingNormalEquations::ensure_store() {
   if (pairs_) return;
@@ -757,8 +500,7 @@ const NormalEquations& StreamingNormalEquations::refresh(
   refreshed_ = true;
 
   if (!drop_negative_) {
-    // The batch closed form on the source's window: bit-identical to
-    // estimate_link_variances on the same snapshots.
+    // The closed form on the source's window (augmented_normal_rhs).
     sys_.h = augmented_normal_rhs(keep_all_samples(source), source.count(),
                                   column_paths_, options_.threads);
     return sys_;
@@ -766,26 +508,38 @@ const NormalEquations& StreamingNormalEquations::refresh(
 
   ensure_store();
 
-  // Aligned pair-indexed source (core::PairMoments on this very store):
-  // each pair's covariance is an O(1) array read — no np x np matrix
-  // anywhere in the tick.  Every other source serves the dense S.
+  // Where each pair's covariance comes from:
+  //  * an aligned pair-indexed source (core::PairMoments on this very
+  //    store): an O(1) array read — no np x np matrix anywhere in the tick;
+  //  * S(i, j), when the source keeps S (the streaming accumulators) or
+  //    serves a window over which sharing pairs are at least 1/8 of all
+  //    pairs, so one blocked S beats an O(m) product per pair;
+  //  * otherwise, from a window (a batch window over sparse sharing), the
+  //    O(m) product of the two paths' centred columns — the scalar
+  //    reference's sum — and from any other source its covariance(i, j).
   const auto* pair_source = dynamic_cast<const PairMoments*>(&source);
   if (pair_source && pair_source->store() != pairs_.get()) {
     pair_source = nullptr;
   }
-  const linalg::Matrix* s = pair_source ? nullptr : &source.matrix();
+  const std::span<const double> centered =
+      pair_source ? std::span<const double>{} : source.centered_flat();
+  const bool read_s =
+      !pair_source &&
+      (source.matrix_is_cheap() ||
+       (!centered.empty() && 8 * pairs_->pair_count() >= pair_count(np_)));
+  const linalg::Matrix* s = read_s ? &source.matrix() : nullptr;
   const std::span<const double> pair_values =
       pair_source ? pair_source->pair_values() : std::span<const double>{};
   // cov = values[p] / (count - 1): dividing here keeps the arithmetic
   // bit-identical to PairMoments::pair_covariance.
   const double pair_denom = static_cast<double>(source.count() - 1);
+  const std::size_t window = source.count();
 
   // Per-dimension readiness (path churn): a pair enters the system only
   // when both paths' statistics cover the full current window.
   std::vector<std::uint8_t> ready(np_);
-  const std::size_t window_count = source.count();
   for (std::size_t i = 0; i < np_; ++i) {
-    ready[i] = source.samples(i) == window_count ? 1 : 0;
+    ready[i] = source.samples(i) == window ? 1 : 0;
   }
 
   struct Partial {
@@ -808,13 +562,27 @@ const NormalEquations& StreamingNormalEquations::refresh(
                 std::span<const std::uint32_t> links) {
               if (!pairs_->pair_live(p, i) || !ready[i] || !ready[j]) {
                 // Dead or warming pair: out of the system (neither used
-                // nor dropped — matching a batch accumulation over the
+                // nor dropped — the counts of a one-shot refresh over the
                 // live-and-ready path subset).
                 if (pair_kept_[p]) part.flips.push_back(p);
                 return;
               }
-              const double cov =
-                  pair_source ? pair_values[p] / pair_denom : (*s)(i, j);
+              double cov;
+              if (pair_source) {
+                cov = pair_values[p] / pair_denom;
+              } else if (s) {
+                cov = (*s)(i, j);
+              } else if (centered.empty()) {
+                cov = source.covariance(i, j);
+              } else {
+                cov = 0.0;
+                const double* pi = centered.data() + i;
+                const double* pj = centered.data() + j;
+                for (std::size_t l = 0; l < window; ++l, pi += np_, pj += np_) {
+                  cov += *pi * *pj;
+                }
+                cov /= pair_denom;
+              }
               const bool kept = !(cov < 0.0);
               if (kept != (pair_kept_[p] != 0)) part.flips.push_back(p);
               if (!kept) {
@@ -868,10 +636,11 @@ VarianceEstimate StreamingNormalEquations::solve() {
                               : "streaming-normal(keep-all)";
   if (!factor_ || pending_flips_ > 0) refactorize();
   // Zero-coverage links are identity-pinned inside G, so a factor that
-  // needed an *amplified* jitter (ladder rung >= 2, matching the batch
-  // trigger) means equation drops left the live block rank-deficient:
-  // degrade exactly like the batch path — pivoted rank-revealing solve,
-  // deficient links pinned — instead of amplifying the jittered solution.
+  // needed an *amplified* jitter (ladder rung >=
+  // rank_revealing_min_attempts) means equation drops left the live block
+  // rank-deficient: degrade like the dense-QR pivoted fallback — pivoted
+  // rank-revealing solve, deficient links pinned — instead of amplifying
+  // the jittered solution.
   if (drop_negative_ && options_.rank_revealing_min_attempts > 0 &&
       factor_->jitter_attempts() >= options_.rank_revealing_min_attempts) {
     est.method = "streaming-normal(drop-negative,rank-revealing)";
@@ -885,9 +654,10 @@ VarianceEstimate StreamingNormalEquations::solve() {
 }
 
 void StreamingNormalEquations::refactorize() {
-  // Same pivot floor as the batch solve (see solve_normal_system): an
-  // exactly-singular drop-negative G must enter the jitter ladder rather
-  // than factorize on a rounding-level pivot.
+  // Drop-negative G is integer-exact, so an exactly-singular system can
+  // compute a rounding-level "positive" pivot and sail through a plain
+  // factorization; the relative pivot floor forces such systems into the
+  // jitter ladder (and from there the rank-revealing fallback).
   factor_.emplace(sys_.g, 1e-12, 6, drop_negative_ ? 1e-12 : 0.0,
                   options_.threads);
   factor_attempts_ += static_cast<std::size_t>(factor_->jitter_attempts()) + 1;
@@ -953,7 +723,7 @@ void StreamingNormalEquations::restore_state(
   const std::size_t used = reader.usize();
   const std::size_t dropped = reader.usize();
   const bool has_factor = reader.boolean();
-  std::optional<linalg::UpdatableCholesky> factor;
+  std::optional<linalg::RegularizedCholesky> factor;
   if (has_factor) {
     std::vector<double> l = reader.doubles();
     const double jitter_used = reader.f64();
@@ -964,8 +734,8 @@ void StreamingNormalEquations::restore_state(
     }
     linalg::Matrix lm(nc_, nc_);
     std::copy(l.begin(), l.end(), lm.data().begin());
-    factor = linalg::UpdatableCholesky::from_state(std::move(lm), jitter_used,
-                                                   jitter_attempts);
+    factor = linalg::RegularizedCholesky::from_state(
+        std::move(lm), jitter_used, jitter_attempts);
   }
   const std::size_t pending_flips = reader.usize();
   const std::size_t refactorizations = reader.usize();

@@ -6,14 +6,16 @@
 //  * kDenseQr      — materialise A, drop rows with negative sample
 //                    covariance (the paper's policy), Householder QR.
 //                    Exact paper method; only viable for small path sets.
-//  * kNormal       — normal equations G v = h accumulated either pairwise
-//                    (exact drop-negative policy) or in closed form from
-//                    the co-traversal Gram matrix (keep-all policy, scales
-//                    to tens of thousands of paths without materialising
-//                    the np(np+1)/2-row system).
+//  * kNormal       — normal equations G v = h over the sharing-pair
+//                    equations (exact drop-negative policy) or in closed
+//                    form from the co-traversal Gram matrix (keep-all
+//                    policy, scales to tens of thousands of paths without
+//                    materialising the np(np+1)/2-row system).
 //  * kNnls         — non-negative least squares on the normal equations;
 //                    enforces v >= 0 by construction (extension, ablated in
 //                    bench/ablation_estimator).
+// kNormal and kNnls run one engine, StreamingNormalEquations: a batch
+// estimate is a fresh instance refreshed once from the source and solved.
 // kAuto picks per problem size; sampling-noise negatives in the LS solution
 // are clamped to zero and counted.
 #pragma once
@@ -23,6 +25,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/sharing_pairs.hpp"
@@ -75,10 +78,12 @@ struct VarianceOptions {
   int rank_revealing_min_attempts = 2;
   /// Runs the retained scalar implementation (per-pair O(m) covariance
   /// loops, sequential accumulation) instead of the blocked/parallel
-  /// kernels.  Kept for the parity tests and as a debugging fallback; the
-  /// two paths agree to last-ulps rounding (<= 1e-12 in practice, provided
-  /// no pair covariance sits within an ulp of the drop-negative zero
-  /// boundary — see accumulate_pairwise_blocked).
+  /// kernels; the system it assembles goes through the same solve.  Kept
+  /// for the parity tests and as a debugging fallback; the two paths agree
+  /// to last-ulps rounding (<= 1e-12 in practice, provided no pair
+  /// covariance read from the blocked S sits within an ulp of the
+  /// drop-negative zero boundary, where the two sums can disagree on its
+  /// sign and so on one whole equation).
   bool use_reference_impl = false;
 };
 
@@ -112,10 +117,12 @@ struct NormalEquations {
 /// streaming consumers mirror the batch resolution exactly.
 bool resolve_negative_policy(const VarianceOptions& options, std::size_t np);
 
-/// Assembles the covariance system without solving it — the O(np^2) hot
-/// path the blocked kernels accelerate.  Honours options.negatives /
-/// threads / use_reference_impl exactly like estimate_link_variances
-/// (options.method is ignored).  Exposed for benchmarking and diagnostics.
+/// Assembles the covariance system without solving it — the system a
+/// one-shot StreamingNormalEquations refresh holds, so under drop-negative
+/// the links no kept equation covers come back identity-pinned (unit
+/// diagonal, zero row and column).  Honours options.negatives / threads /
+/// use_reference_impl exactly like estimate_link_variances (options.method
+/// is ignored).  Exposed for benchmarking and diagnostics.
 NormalEquations build_normal_equations(const linalg::SparseBinaryMatrix& r,
                                        const stats::SnapshotMatrix& y,
                                        const VarianceOptions& options = {});
@@ -130,7 +137,9 @@ NormalEquations build_normal_equations(const linalg::SparseBinaryMatrix& r,
                                        const VarianceOptions& options = {});
 
 /// Estimates link variances from m snapshots of the path observations.
-/// `y` must have dim() == r.rows() and count() >= 2.
+/// `y` must have dim() == r.rows() and count() >= 2.  kNormal and kNnls
+/// refresh a fresh StreamingNormalEquations once and solve it; the estimate
+/// carries its method string without the "streaming-" prefix.
 VarianceEstimate estimate_link_variances(const linalg::SparseBinaryMatrix& r,
                                          const stats::SnapshotMatrix& y,
                                          const VarianceOptions& options = {});
@@ -141,16 +150,17 @@ VarianceEstimate estimate_link_variances(const linalg::SparseBinaryMatrix& r,
                                          const stats::CovarianceSource& source,
                                          const VarianceOptions& options = {});
 
-/// Incrementally maintained Phase-1 normal equations for monitoring loops.
+/// Incrementally maintained Phase-1 normal equations: the one engine behind
+/// both the monitoring loops and the batch estimate (a batch estimate is an
+/// instance with no history — one refresh, one solve).
 ///
 /// Two policies, two incremental strategies:
 ///  * keep-all: G = A^T A depends only on the routing matrix, so it is
 ///    assembled at construction, the Cholesky factorization is computed on
 ///    the first solve(), and every subsequent solve() is O(nc^2).
-///    refresh() computes h with the batch closed form
-///    (augmented_normal_rhs) on the source's centred window samples, in
-///    O(m * nnz(r)) — bit-identical to estimate_link_variances on the same
-///    window, and no np x np matrix is read;
+///    refresh() computes h with the closed form (augmented_normal_rhs) on
+///    the source's centred window samples, in O(m * nnz(r)); no np x np
+///    matrix is read;
 ///  * drop-negative: the sharing pairs live in a SharingPairStore built
 ///    *lazily* on the first refresh() (chunk-parallel, memory proportional
 ///    to the sharing structure — see core/sharing_pairs.hpp), so
@@ -160,20 +170,20 @@ VarianceEstimate estimate_link_variances(const linalg::SparseBinaryMatrix& r,
 ///    integer +/-1 counts).  solve() has one factor rule: it reuses the
 ///    cached Cholesky factor while G is exactly the factored G (no pair
 ///    has flipped since the factorization), and otherwise refactorizes G
-///    with the batch engine's ladder — the same pivot floor, jitter rungs
-///    and rank-revealing fallback (rank_revealing_min_attempts).  The
-///    streaming engine therefore makes the batch engine's singular-window
-///    decisions by construction.  (An iterative solve through a stale
-///    factor cannot: h = A^T Sigma lies in range(G), so its Krylov space
-///    never meets null(G), and no test on that side sees a window that
-///    left G singular.)
+///    with the jitter ladder — pivot floor, jitter rungs and the
+///    rank-revealing fallback (rank_revealing_min_attempts).  A streaming
+///    instance therefore makes the batch estimate's singular-window
+///    decisions by construction: it runs the same code on the same integer
+///    G.  (An iterative solve through a stale factor could not: h = A^T
+///    Sigma lies in range(G), so its Krylov space never meets null(G), and
+///    no test on that side sees a window that left G singular.)
 ///
 /// Under drop-negative, refresh() rebuilds h from the source's current pair
 /// covariances — cost proportional to the sharing structure, independent
-/// of the window length — and solve() factors the same integer G as
-/// estimate_link_variances on an equal-valued source, so the two estimates
-/// differ only by the summation order of h (<= 1e-10 observed; methods
-/// kNormal and kNnls; kDenseQr callers must use the batch path).
+/// of the window length — in the store's pair order, so an instance with
+/// history and a fresh one refreshed from the same source hold the same G
+/// and h bit for bit (methods kNormal and kNnls; kDenseQr callers must use
+/// estimate_link_variances).
 ///
 /// Thread-safety: refresh() parallelizes internally (bit-identical at any
 /// VarianceOptions::threads); concurrent calls on one instance are not
@@ -194,16 +204,25 @@ class StreamingNormalEquations {
   StreamingNormalEquations(const linalg::SparseBinaryMatrix& r,
                            const VarianceOptions& options,
                            std::shared_ptr<SharingPairStore> store);
+  // Out of line: inlined into a function that builds and drops a one-shot
+  // instance, GCC 12 -O3 reports the disengaged factor's destructor as
+  // maybe-uninitialized (a false positive).
+  ~StreamingNormalEquations();
 
-  /// Recomputes h (and the sign-flipped parts of G and the cached factor
-  /// under drop-negative) from the source's current statistics.  Keep-all
-  /// reads source.centered_flat() (throws std::invalid_argument for a
-  /// source that serves no samples, such as core::PairMoments).  Under
-  /// drop-negative a pair enters the system only when it is live
-  /// (both paths' store rows live), ready (source.samples() covers the
-  /// full window for both paths — path-churn warm-up), and its covariance
-  /// is non-negative; skipped pairs count neither used nor dropped, so the
-  /// counts match a batch accumulation over the live-and-ready submatrix.
+  /// Recomputes h (and the sign-flipped parts of G under drop-negative)
+  /// from the source's current statistics.  Keep-all reads
+  /// source.centered_flat() (throws std::invalid_argument for a source
+  /// that serves no samples, such as core::PairMoments).  Drop-negative
+  /// reads each pair's covariance from the aligned PairMoments by index,
+  /// else from S when the source keeps it (matrix_is_cheap()) or serves a
+  /// window over which sharing pairs are at least 1/8 of all pairs, else
+  /// as an O(m) product of the two centred window columns (covariance(i,
+  /// j) for a source with no window).  A pair enters the system only when
+  /// it is live (both paths' store rows live), ready (source.samples()
+  /// covers the full window for both paths — path-churn warm-up), and its
+  /// covariance is non-negative; skipped pairs count neither used nor
+  /// dropped, so the counts match a one-shot refresh over the
+  /// live-and-ready submatrix.
   const NormalEquations& refresh(const stats::CovarianceSource& source);
 
   // -- Path churn (scenario engine, src/scenario/) ------------------------
@@ -238,7 +257,7 @@ class StreamingNormalEquations {
   /// Grows the link universe by `count` fresh trailing columns.  Fresh
   /// links have no kept pair equation yet, so they enter identity-pinned:
   /// G becomes diag(G, I) exactly, and the cached factor follows by
-  /// bordered identity growth (linalg::UpdatableCholesky::append_identity)
+  /// bordered identity growth (linalg::RegularizedCholesky::append_identity)
   /// — no refactorization (a jittered factor, which represents G + j*I,
   /// is dropped instead).  Pairs covering the new links later unpin them
   /// through refresh().
@@ -250,7 +269,10 @@ class StreamingNormalEquations {
   /// Requires a prior refresh().
   [[nodiscard]] VarianceEstimate solve();
 
-  [[nodiscard]] const NormalEquations& system() const { return sys_; }
+  [[nodiscard]] const NormalEquations& system() const& { return sys_; }
+  /// Moves the system out of an instance that is done with it (a one-shot
+  /// build_normal_equations).
+  [[nodiscard]] NormalEquations system() && { return std::move(sys_); }
   [[nodiscard]] bool drop_negative() const { return drop_negative_; }
   /// Full Cholesky factorizations performed so far (1 after the first
   /// solve under keep-all; under drop-negative one more for every solve
@@ -290,7 +312,7 @@ class StreamingNormalEquations {
   // Serializes every piece of mutable state the incremental machinery
   // depends on: the integer-maintained G (drop-negative only: keep-all G
   // is a pure function of the routing, assembled once by the restore
-  // target's constructor) and rhs, the cached UpdatableCholesky factor
+  // target's constructor) and rhs, the cached RegularizedCholesky factor
   // (restored via from_state — NO refactorization on resume), the flips
   // pending against it, the kept-pair flags, link coverage, and the
   // counters.  `store_external` is true when the pair store is owned by
@@ -306,6 +328,19 @@ class StreamingNormalEquations {
                      std::shared_ptr<SharingPairStore> shared_store);
 
  private:
+  // The scalar references (VarianceOptions::use_reference_impl) assemble
+  // their system from the snapshots themselves; the snapshot entry points
+  // adopt it here — links with an all-zero G row identity-pinned, as a
+  // refresh pins them — so it reaches the same solve().  solve() only.
+  StreamingNormalEquations(NormalEquations sys, const VarianceOptions& options,
+                           bool drop_negative);
+  friend NormalEquations build_normal_equations(
+      const linalg::SparseBinaryMatrix& r, const stats::SnapshotMatrix& y,
+      const VarianceOptions& options);
+  friend VarianceEstimate estimate_link_variances(
+      const linalg::SparseBinaryMatrix& r, const stats::SnapshotMatrix& y,
+      const VarianceOptions& options);
+
   void ensure_store();
   void apply_flips(const std::vector<std::size_t>& flips);
   void refactorize();
@@ -330,7 +365,7 @@ class StreamingNormalEquations {
   NormalEquations sys_;
   // The factor of G as it stood pending_flips_ flips ago; empty before the
   // first solve and after a growth that a jittered factor cannot follow.
-  std::optional<linalg::UpdatableCholesky> factor_;
+  std::optional<linalg::RegularizedCholesky> factor_;
   std::size_t pending_flips_ = 0;
   std::size_t refactorizations_ = 0;
   std::size_t factor_attempts_ = 0;

@@ -149,43 +149,6 @@ void factorize_in_place(Matrix& l, double min_pivot, std::size_t threads) {
   }
 }
 
-// The jitter ladder shared by RegularizedCholesky and UpdatableCholesky:
-// a plain attempt, then `jitter * max_diag * I` escalating by 10x.  Every
-// attempt factorizes in the one work buffer, refilled from `a`.
-struct Ladder {
-  Matrix l;
-  double jitter_used = 0.0;
-  int attempts = 0;  // rung that succeeded
-};
-
-Ladder factor_ladder(const Matrix& a, double jitter, int max_attempts,
-                     double min_pivot_rel, std::size_t threads) {
-  double max_diag = 0.0;
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    max_diag = std::max(max_diag, std::fabs(a(i, i)));
-  }
-  if (max_diag == 0.0) max_diag = 1.0;
-  const double min_pivot = min_pivot_rel * max_diag;
-
-  Ladder rung{.l = a};
-  double eps = 0.0;
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    if (attempt > 0) {
-      std::copy(a.data().begin(), a.data().end(), rung.l.data().begin());
-      for (std::size_t i = 0; i < a.rows(); ++i) rung.l(i, i) += eps;
-    }
-    try {
-      factorize_in_place(rung.l, min_pivot, threads);
-      rung.jitter_used = eps;
-      rung.attempts = attempt;
-      return rung;
-    } catch (const std::runtime_error&) {
-      eps = (eps == 0.0) ? jitter * max_diag : eps * 10.0;
-    }
-  }
-  throw std::runtime_error("RegularizedCholesky: factorization failed");
-}
-
 }  // namespace
 
 Cholesky::Cholesky(Matrix a, double min_pivot, std::size_t threads)
@@ -203,45 +166,53 @@ double Cholesky::sqrt_det() const {
   return p;
 }
 
+// The jitter ladder: a plain attempt, then `jitter * max_diag * I`
+// escalating by 10x.  Every attempt factorizes in the one work buffer,
+// refilled from `a`.
 RegularizedCholesky::RegularizedCholesky(const Matrix& a, double jitter,
                                          int max_attempts,
                                          double min_pivot_rel,
-                                         std::size_t threads) {
-  Ladder rung =
-      factor_ladder(a, jitter, max_attempts, min_pivot_rel, threads);
-  factor_.emplace(Cholesky(std::move(rung.l), Cholesky::Factored{}));
-  jitter_used_ = rung.jitter_used;
-  jitter_attempts_ = rung.attempts;
+                                         std::size_t threads)
+    : l_(a) {
+  double max_diag = 0.0;
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    max_diag = std::max(max_diag, std::fabs(a(i, i)));
+  }
+  if (max_diag == 0.0) max_diag = 1.0;
+  const double min_pivot = min_pivot_rel * max_diag;
+
+  double eps = 0.0;
+  for (int attempt = 0; attempt < max_attempts; ++attempt) {
+    if (attempt > 0) {
+      std::copy(a.data().begin(), a.data().end(), l_.data().begin());
+      for (std::size_t i = 0; i < a.rows(); ++i) l_(i, i) += eps;
+    }
+    try {
+      factorize_in_place(l_, min_pivot, threads);
+      jitter_used_ = eps;
+      jitter_attempts_ = attempt;
+      return;
+    } catch (const std::runtime_error&) {
+      eps = (eps == 0.0) ? jitter * max_diag : eps * 10.0;
+    }
+  }
+  throw std::runtime_error("RegularizedCholesky: factorization failed");
 }
 
-Vector RegularizedCholesky::solve(std::span<const double> b) const {
-  return factor_->solve(b);
-}
-
-UpdatableCholesky::UpdatableCholesky(const Matrix& a, double jitter,
-                                     int max_attempts,
-                                     double min_pivot_rel,
-                                     std::size_t threads) {
-  Ladder rung =
-      factor_ladder(a, jitter, max_attempts, min_pivot_rel, threads);
-  l_ = std::move(rung.l);
-  jitter_used_ = rung.jitter_used;
-  jitter_attempts_ = rung.attempts;
-}
-
-UpdatableCholesky UpdatableCholesky::from_state(Matrix l, double jitter_used,
-                                                int jitter_attempts) {
+RegularizedCholesky RegularizedCholesky::from_state(Matrix l,
+                                                    double jitter_used,
+                                                    int jitter_attempts) {
   if (l.rows() != l.cols()) {
     throw std::invalid_argument("from_state: factor must be square");
   }
-  UpdatableCholesky chol;
+  RegularizedCholesky chol;
   chol.l_ = std::move(l);
   chol.jitter_used_ = jitter_used;
   chol.jitter_attempts_ = jitter_attempts;
   return chol;
 }
 
-void UpdatableCholesky::append_identity(std::size_t k) {
+void RegularizedCholesky::append_identity(std::size_t k) {
   if (k == 0) return;
   const std::size_t n = dim();
   Matrix grown(n + k, n + k);
@@ -253,7 +224,7 @@ void UpdatableCholesky::append_identity(std::size_t k) {
   l_ = std::move(grown);
 }
 
-Vector UpdatableCholesky::solve(std::span<const double> b) const {
+Vector RegularizedCholesky::solve(std::span<const double> b) const {
   return solve_llt(l_, b);
 }
 

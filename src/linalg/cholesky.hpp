@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -62,11 +61,6 @@ class Cholesky {
   [[nodiscard]] double sqrt_det() const;
 
  private:
-  friend class RegularizedCholesky;
-  struct Factored {};
-  // Adopts an already-factored matrix (the jitter ladder's work buffer).
-  Cholesky(Matrix l, Factored) : l_(std::move(l)) {}
-
   Matrix l_;
 };
 
@@ -74,19 +68,36 @@ class Cholesky {
 /// factorization and, on failure, retries with `jitter * max_diag * I`
 /// escalating by 10x up to `max_attempts`.  Returns the jitter actually
 /// used; 0 for a clean factorization.  This is the pragmatic guard for
-/// nearly-singular normal equations produced by sampling noise.
-/// O(n^3 / 3) per attempt, all attempts in one reused work buffer;
-/// immutable after construction.
+/// nearly-singular normal equations produced by sampling noise, and the
+/// factor core::StreamingNormalEquations caches across ticks: besides the
+/// ladder it outlives its construction without an O(n^3) refactorization
+/// in two ways — re-adoption from a checkpoint (from_state) and exact
+/// identity border growth (append_identity).
+/// O(n^3 / 3) per attempt, all attempts in one work buffer that becomes the
+/// factor.  Not thread-safe while append_identity runs; concurrent solve()
+/// calls are safe.
 class RegularizedCholesky {
  public:
   /// `min_pivot_rel` scales by the largest diagonal into the Cholesky
   /// pivot floor (0 keeps the accept-any-positive-pivot behaviour).
-  /// `threads` as for Cholesky.
+  /// `threads` as for Cholesky.  Throws std::runtime_error when even the
+  /// largest jitter fails.
   explicit RegularizedCholesky(const Matrix& a, double jitter = 1e-12,
                                int max_attempts = 6,
                                double min_pivot_rel = 0.0,
                                std::size_t threads = 0);
 
+  /// Reconstructs a factor from previously extracted state — `l` a valid
+  /// lower-triangular factor plus the jitter diagnostics that produced it —
+  /// WITHOUT refactorizing (no O(n^3) work; `l` must be square, throws
+  /// std::invalid_argument otherwise).  This is the checkpoint-restore
+  /// entry (io/checkpoint.hpp): a resumed streaming run re-adopts its
+  /// cached factor instead of refactorizing.
+  static RegularizedCholesky from_state(Matrix l, double jitter_used,
+                                        int jitter_attempts);
+
+  [[nodiscard]] std::size_t dim() const { return l_.rows(); }
+  /// Solves A x = b with the current factor.  O(n^2).
   [[nodiscard]] Vector solve(std::span<const double> b) const;
   [[nodiscard]] double jitter_used() const { return jitter_used_; }
   /// Ladder rung that succeeded: 0 = clean factorization, 1 = the base
@@ -94,50 +105,8 @@ class RegularizedCholesky {
   /// be *amplified* — the signal consumers use to switch to a
   /// rank-revealing fallback instead of trusting the regularized solve.
   [[nodiscard]] int jitter_attempts() const { return jitter_attempts_; }
-  /// The successful factorization (of a + jitter_used * I).
-  [[nodiscard]] const Cholesky& factor() const { return *factor_; }
-
- private:
-  std::optional<Cholesky> factor_;  // late init: set by the successful rung
-  double jitter_used_ = 0.0;
-  int jitter_attempts_ = 0;
-};
-
-/// Cholesky factor that a streaming solver caches across ticks: the
-/// RegularizedCholesky ladder's factor, plus the two ways it outlives its
-/// construction without an O(n^3) refactorization — re-adoption from a
-/// checkpoint (from_state) and exact identity border growth
-/// (append_identity).  This is the factor cache of
-/// core::StreamingNormalEquations, which refactorizes whenever its G
-/// changes and reuses this factor while it does not.
-///
-/// Not thread-safe: append_identity mutates the factor in place.
-class UpdatableCholesky {
- public:
-  /// Factorizes `a` (symmetric positive definite up to jitter) with the
-  /// RegularizedCholesky ladder and keeps its factor (moved, not copied).
-  /// Complexity O(n^3 / 3) per attempt.  Throws std::runtime_error when
-  /// even the largest jitter fails.
-  explicit UpdatableCholesky(const Matrix& a, double jitter = 1e-12,
-                             int max_attempts = 6,
-                             double min_pivot_rel = 0.0,
-                             std::size_t threads = 0);
-
-  /// Reconstructs a factor from previously extracted state — `l` a valid
-  /// lower-triangular factor plus the jitter diagnostics that produced it —
-  /// WITHOUT refactorizing (no O(n^3) work; `l` must be square, throws
-  /// std::invalid_argument otherwise).  This is the checkpoint-restore
-  /// entry (io/checkpoint.hpp): a resumed streaming run re-adopts its
-  /// cached factor and keeps its zero-refactorization guarantee.
-  static UpdatableCholesky from_state(Matrix l, double jitter_used,
-                                      int jitter_attempts);
-
-  [[nodiscard]] std::size_t dim() const { return l_.rows(); }
-  [[nodiscard]] double jitter_used() const { return jitter_used_; }
-  /// Jitter-ladder rung of the construction-time factorization (see
-  /// RegularizedCholesky::jitter_attempts).
-  [[nodiscard]] int jitter_attempts() const { return jitter_attempts_; }
-  /// Current lower-triangular factor.
+  /// Current lower-triangular factor (of a + jitter_used * I, grown by
+  /// any append_identity calls).
   [[nodiscard]] const Matrix& l() const { return l_; }
 
   /// Bordered growth: the factored matrix becomes diag(A, I_k) — `k` new
@@ -149,11 +118,8 @@ class UpdatableCholesky {
   /// the storage copy only.
   void append_identity(std::size_t k);
 
-  /// Solves A x = b with the current factor.  O(n^2).
-  [[nodiscard]] Vector solve(std::span<const double> b) const;
-
  private:
-  UpdatableCholesky() : l_(0, 0) {}  // from_state fills the members
+  RegularizedCholesky() : l_(0, 0) {}  // from_state fills the members
 
   Matrix l_;
   double jitter_used_ = 0.0;

@@ -11,16 +11,14 @@ void intersect_sorted(std::span<const std::uint32_t> a,
                       std::vector<std::uint32_t>& out) {
   out.clear();
   std::size_t x = 0, y = 0;
+  // Branch-free advance: which list steps is data-dependent and
+  // unpredictable, so both cursors step by comparison results instead.
   while (x < a.size() && y < b.size()) {
-    if (a[x] < b[y]) {
-      ++x;
-    } else if (a[x] > b[y]) {
-      ++y;
-    } else {
-      out.push_back(a[x]);
-      ++x;
-      ++y;
-    }
+    const std::uint32_t va = a[x];
+    const std::uint32_t vb = b[y];
+    if (va == vb) out.push_back(va);
+    x += va <= vb ? 1 : 0;
+    y += vb <= va ? 1 : 0;
   }
 }
 

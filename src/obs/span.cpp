@@ -10,6 +10,12 @@ Span::Span(Registry* registry, std::size_t phase) noexcept
     : registry_(registry), phase_(phase) {
   if (registry_ == nullptr) return;
   parent_ = registry_->active_span_;
+  if (parent_ != nullptr && parent_->phase_ == phase_) {
+    // Re-entering the open phase (a monitor tick inside a scenario tick):
+    // the enclosing span already times it.
+    registry_ = nullptr;
+    return;
+  }
   if (parent_ != nullptr) {
     depth_ = parent_->depth_ + 1;
     // Exclusive timing: the parent stops accumulating while we run.

@@ -1,13 +1,16 @@
 // obs::Span — RAII phase timer feeding a Registry's per-phase histogram
 // and (when armed) its flight recorder.
 //
-// Spans nest: the monitoring stack opens `tick` in ScenarioRunner::step
-// (or per row in LiaMonitor::observe_block), `ingest` around snapshot
-// production, and `accumulate`/`solve` inside LiaMonitor::observe — and
-// each records its *exclusive* time: opening a child pauses the parent's
+// Spans nest: the monitoring stack opens `tick` in LiaMonitor::observe
+// (and around the whole step in ScenarioRunner::step), `ingest` around
+// snapshot production, and `accumulate`/`solve` inside observe — and each
+// records its *exclusive* time: opening a child pauses the parent's
 // util::Timer, closing it resumes, so a phase histogram answers "where did
-// this tick's time go" without double counting.  Nesting is tracked per registry
-// (single-writer, like the registry itself).
+// this tick's time go" without double counting.  A span opened directly
+// inside a span of the same phase is a no-op (the enclosing one already
+// times it), so observe's tick inside a scenario step counts once.
+// Nesting is tracked per registry (single-writer, like the registry
+// itself).
 //
 // A null registry makes the span a no-op, which is how components stay
 // uninstrumented by default; under LOSSTOMO_NO_TELEMETRY the body

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <string>
 
 #include "core/augmented_matrix.hpp"
 #include "test_util.hpp"
@@ -223,21 +225,50 @@ TEST(CovarianceSource, BuildFromSourceMatchesSnapshotBuild) {
   }
 }
 
+bool same_bits(const linalg::Vector& a, const linalg::Vector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// A batch estimate is the streaming engine with no history, so a streaming
+// instance refreshed from the same source gives the same estimate bit for
+// bit.  The mesh carries more sharing pairs than one refresh chunk (8192
+// pairs), so an h summed in any other order than the refresh's would
+// differ in its last bits.
 TEST(StreamingNormalEquationsTest, MatchesBatchEstimateBothPolicies) {
-  const auto p = make_problem(60, 91);
-  const auto& r = p.rrm->matrix();
-  const stats::BatchCovarianceSource source(p.y);
+  stats::Rng rng(91);
+  auto mesh = losstomo::testing::make_random_mesh(300, 24, rng);
+  const net::ReducedRoutingMatrix rrm(mesh.topo.graph, mesh.paths);
+  const auto& r = rrm.matrix();
+  const auto v_true = random_variances(rrm.link_count(), rng, 0.25);
+  const linalg::Vector mu(rrm.link_count(), -0.02);
+  const auto y = synthetic_observations(r, mu, v_true, 96, rng);
+  const stats::BatchCovarianceSource source(y);
   for (const auto policy : {NegativeCovariancePolicy::kDrop,
                             NegativeCovariancePolicy::kKeep}) {
-    VarianceOptions options;
-    options.negatives = policy;
-    const auto batch = estimate_link_variances(r, p.y, options);
-    StreamingNormalEquations streaming(r, options);
-    streaming.refresh(source);
-    const auto est = streaming.solve();
-    EXPECT_EQ(est.equations_used, batch.equations_used);
-    EXPECT_EQ(est.equations_dropped, batch.equations_dropped);
-    EXPECT_LE(linalg::max_abs_diff(est.v, batch.v), 1e-10);
+    for (const auto method : {VarianceMethod::kNormal, VarianceMethod::kNnls}) {
+      for (const std::size_t threads : {1, 2, 8}) {
+        VarianceOptions options;
+        options.negatives = policy;
+        options.method = method;
+        options.threads = threads;
+        const auto batch = estimate_link_variances(r, source, options);
+        StreamingNormalEquations streaming(r, options);
+        streaming.refresh(source);
+        if (policy == NegativeCovariancePolicy::kDrop) {
+          ASSERT_GT(streaming.pair_store()->pair_count(), 8192u);
+        }
+        const auto est = streaming.solve();
+        const std::string name = batch.method + " threads=" +
+                                 std::to_string(threads);
+        EXPECT_EQ(est.method, "streaming-" + batch.method) << name;
+        EXPECT_EQ(est.equations_used, batch.equations_used) << name;
+        EXPECT_EQ(est.equations_dropped, batch.equations_dropped) << name;
+        EXPECT_EQ(est.links_pinned, batch.links_pinned) << name;
+        EXPECT_EQ(est.jitter_used, batch.jitter_used) << name;
+        EXPECT_TRUE(same_bits(est.v, batch.v)) << name;
+      }
+    }
   }
 }
 

@@ -75,18 +75,19 @@ TEST(RegularizedCholesky, SingularMatrixGetsJitter) {
   }
   const RegularizedCholesky chol(a);
   EXPECT_GT(chol.jitter_used(), 0.0);
+  EXPECT_GE(chol.jitter_attempts(), 1);
   // The solve should still approximately satisfy the (regularized) system.
   const auto x = chol.solve(Vector{1.0, 2.0, 3.0});
   EXPECT_EQ(x.size(), 3u);
 }
 
-TEST(UpdatableCholesky, AppendIdentityMatchesBorderedMatrix) {
+TEST(RegularizedCholesky, AppendIdentityMatchesBorderedMatrix) {
   stats::Rng rng(23);
   const std::size_t n = 6, k = 3;
   const Matrix a = random_spd(n, rng);
-  UpdatableCholesky upd(a);
-  upd.append_identity(k);
-  EXPECT_EQ(upd.dim(), n + k);
+  RegularizedCholesky chol(a);
+  chol.append_identity(k);
+  EXPECT_EQ(chol.dim(), n + k);
   // The factor now represents diag(a, I_k) exactly.
   Matrix grown(n + k, n + k);
   for (std::size_t i = 0; i < n; ++i) {
@@ -95,34 +96,37 @@ TEST(UpdatableCholesky, AppendIdentityMatchesBorderedMatrix) {
   for (std::size_t i = n; i < n + k; ++i) grown(i, i) = 1.0;
   Vector b(n + k);
   for (auto& v : b) v = rng.gaussian();
-  EXPECT_EQ(max_abs_diff(upd.solve(b), Cholesky(grown).solve(b)), 0.0);
+  EXPECT_EQ(max_abs_diff(chol.solve(b), Cholesky(grown).solve(b)), 0.0);
   // It is the factor a fresh factorization of the grown matrix computes,
   // so a streaming solver may keep it in place of a refactorization.
-  EXPECT_EQ(upd.l().data(), Cholesky(grown).l().data());
+  EXPECT_EQ(chol.l().data(), Cholesky(grown).l().data());
 }
 
-TEST(UpdatableCholesky, AppendIdentityZeroIsNoOp) {
+TEST(RegularizedCholesky, AppendIdentityZeroIsNoOp) {
   stats::Rng rng(24);
   const Matrix a = random_spd(4, rng);
-  UpdatableCholesky upd(a);
-  upd.append_identity(0);
-  EXPECT_EQ(upd.dim(), 4u);
+  RegularizedCholesky chol(a);
+  chol.append_identity(0);
+  EXPECT_EQ(chol.dim(), 4u);
 }
 
-TEST(UpdatableCholesky, SingularConstructionUsesJitter) {
-  Matrix a(3, 3);
-  const Vector u{1.0, 2.0, 3.0};
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) a(i, j) = u[i] * u[j];
-  }
-  const UpdatableCholesky upd(a);
-  EXPECT_GT(upd.jitter_used(), 0.0);
-}
-
-TEST(UpdatableCholesky, SizeMismatchThrows) {
-  UpdatableCholesky upd(Matrix::identity(3));
+TEST(RegularizedCholesky, SizeMismatchThrows) {
+  RegularizedCholesky chol(Matrix::identity(3));
   const Vector wrong{1.0};
-  EXPECT_THROW((void)upd.solve(wrong), std::invalid_argument);
+  EXPECT_THROW((void)chol.solve(wrong), std::invalid_argument);
+}
+
+TEST(RegularizedCholesky, FromStateReadoptsTheFactor) {
+  stats::Rng rng(25);
+  const Matrix a = random_spd(5, rng);
+  const RegularizedCholesky chol(a);
+  const auto restored = RegularizedCholesky::from_state(
+      chol.l(), chol.jitter_used(), chol.jitter_attempts());
+  const Vector b{1.0, -2.0, 0.5, 3.0, -1.0};
+  EXPECT_EQ(restored.solve(b), chol.solve(b));
+  EXPECT_EQ(restored.jitter_attempts(), chol.jitter_attempts());
+  EXPECT_THROW((void)RegularizedCholesky::from_state(Matrix(2, 3), 0.0, 0),
+               std::invalid_argument);
 }
 
 // The unblocked left-looking constructor the blocked kernel replaced,
@@ -281,9 +285,9 @@ TEST(BlockedCholesky, BitIdenticalAcrossThreadCounts) {
 }
 
 TEST(BlockedCholesky, LadderFactorsAreTheKernelsFactor) {
-  // The ladder's retry refills one work buffer and UpdatableCholesky takes
-  // the ladder's factor by move: both must equal a fresh factorization of
-  // the jittered matrix, bit for bit.
+  // The ladder's retry refills one work buffer that becomes the factor: it
+  // must equal a fresh factorization of the jittered matrix, bit for bit,
+  // at any thread count.
   stats::Rng rng(95);
   const std::size_t n = 200;
   const Matrix a = integer_gram(n, rng, 117);
@@ -293,10 +297,10 @@ TEST(BlockedCholesky, LadderFactorsAreTheKernelsFactor) {
   Matrix jittered = a;
   for (std::size_t i = 0; i < n; ++i) jittered(i, i) += reg.jitter_used();
   const Cholesky fresh(jittered, drop_negative_floor(a), 1);
-  EXPECT_EQ(reg.factor().l().data(), fresh.l().data());
-  const UpdatableCholesky upd(a, 1e-12, 6, floor_rel, 8);
-  EXPECT_EQ(upd.jitter_attempts(), 1);
-  EXPECT_EQ(upd.l().data(), fresh.l().data());
+  EXPECT_EQ(reg.l().data(), fresh.l().data());
+  const RegularizedCholesky wide(a, 1e-12, 6, floor_rel, 8);
+  EXPECT_EQ(wide.jitter_attempts(), 1);
+  EXPECT_EQ(wide.l().data(), fresh.l().data());
 }
 
 TEST(PivotedCholesky, FullRankSpd) {

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "core/monitor.hpp"
 #include "obs/registry.hpp"
@@ -121,6 +122,37 @@ TEST(TelemetryDeterminism, CheckpointRestoreResumesCountersExactly) {
 
   // The per-type event ledger came back too (it feeds the counters).
   EXPECT_EQ(resumed.event_counts(), reference.event_counts());
+}
+
+// The tick span opens in LiaMonitor::observe, so a direct caller gets one
+// span.tick sample per snapshot (observe and observe_block alike), and a
+// ScenarioRunner, whose step opens its own tick span around the monitor's,
+// still gets exactly one per step.
+TEST(TelemetryDeterminism, TickSpanCountsEveryObserveOnce) {
+  const auto net = losstomo::testing::make_fig1_network();
+  const net::ReducedRoutingMatrix rrm(net.graph, net.paths);
+  Registry direct;
+  core::MonitorOptions options;
+  options.window = 4;
+  options.telemetry = &direct;
+  core::LiaMonitor monitor(rrm.matrix(), options);
+  stats::Rng rng(3);
+  const std::size_t np = rrm.matrix().rows();
+  std::vector<double> y(np);
+  for (int tick = 0; tick < 10; ++tick) {
+    for (auto& v : y) v = -0.01 + 0.001 * rng.gaussian();
+    (void)monitor.observe(y);
+  }
+  std::vector<double> block(3 * np);
+  for (auto& v : block) v = -0.01 + 0.001 * rng.gaussian();
+  monitor.observe_block(block, 3, nullptr);
+  EXPECT_EQ(direct.histogram("span.tick.seconds").count(), 13u);
+
+  Registry scripted;
+  ScenarioRunner runner(fuzz_spec(), options_for(1, scripted));
+  while (runner.ticks_run() < runner.spec().ticks) runner.step();
+  EXPECT_EQ(scripted.histogram("span.tick.seconds").count(),
+            runner.spec().ticks);
 }
 
 }  // namespace
