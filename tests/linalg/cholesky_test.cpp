@@ -110,6 +110,30 @@ TEST(RegularizedCholesky, AppendIdentityZeroIsNoOp) {
   EXPECT_EQ(chol.dim(), 4u);
 }
 
+// The updatable use of RegularizedCholesky: a singular matrix is factored
+// with jitter, and identity rows appended afterwards keep that jitter and
+// extend the factor of a + jitter * I by exact identity blocks.
+TEST(UpdatableCholesky, SingularConstructionUsesJitter) {
+  Matrix a(3, 3);
+  const Vector u{1.0, 2.0, 3.0};
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t j = 0; j < 3; ++j) a(i, j) = u[i] * u[j];
+  }
+  RegularizedCholesky upd(a);
+  EXPECT_GT(upd.jitter_used(), 0.0);
+  const double jitter = upd.jitter_used();
+  const Matrix before = upd.l();
+  upd.append_identity(2);
+  EXPECT_EQ(upd.dim(), 5u);
+  EXPECT_EQ(upd.jitter_used(), jitter);
+  for (std::size_t i = 0; i < 5; ++i) {
+    for (std::size_t j = 0; j < 5; ++j) {
+      const double want = (i < 3 && j < 3) ? before(i, j) : (i == j ? 1.0 : 0.0);
+      EXPECT_EQ(upd.l()(i, j), want);
+    }
+  }
+}
+
 TEST(RegularizedCholesky, SizeMismatchThrows) {
   RegularizedCholesky chol(Matrix::identity(3));
   const Vector wrong{1.0};
