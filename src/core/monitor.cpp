@@ -114,7 +114,8 @@ VarianceEstimate restore_estimate(io::CheckpointReader& reader) {
 LiaMonitor::LiaMonitor(linalg::SparseBinaryMatrix r, MonitorOptions options)
     : options_(resolve_monitor_options(std::move(options), r)),
       engine_(options_.engine),
-      r_(std::move(r)) {
+      r_(std::move(r)),
+      ledger_(r_.rows()) {
   if (options_.window < 2) throw std::invalid_argument("window must be >= 2");
   if (options_.relearn_every == 0) {
     throw std::invalid_argument("relearn_every must be >= 1");
@@ -132,8 +133,10 @@ LiaMonitor::LiaMonitor(linalg::SparseBinaryMatrix r, MonitorOptions options)
         "the sharing-pair accumulator requires the streaming engine with "
         "the drop-negative policy");
   }
-  active_.assign(r_.rows(), 1);
-  activated_tick_.assign(r_.rows(), 0);
+  // The batch engine and streaming keep-all relearn from the window.
+  if (engine_ == MonitorEngine::kBatch || !drop_negative) {
+    window_.emplace(r_.rows(), options_.window);
+  }
   if (options_.telemetry != nullptr) {
     obs_ = std::make_unique<Telemetry>(*options_.telemetry);
     publish_telemetry();
@@ -143,27 +146,21 @@ LiaMonitor::LiaMonitor(linalg::SparseBinaryMatrix r, MonitorOptions options)
 LiaMonitor::Stack LiaMonitor::make_stack() const {
   Stack stack;
   if (options_.accumulator == CovarianceAccumulator::kDense) {
-    if (!reads_window()) {
-      stack.accumulator.emplace(r_.rows(), accumulator_options(options_));
+    if (!window_) {
+      stack.accumulator = std::make_unique<stats::StreamingMoments>(
+          r_.rows(), accumulator_options(options_));
     }
     stack.equations.emplace(r_, options_.lia.variance);
   } else {
     stack.store = std::make_shared<SharingPairStore>(
         SharingPairStore::build(r_, options_.lia.variance.threads));
-    stack.pair_accumulator.emplace(stack.store, r_.rows(),
-                                   accumulator_options(options_));
+    stack.accumulator = std::make_unique<PairMoments>(
+        stack.store, r_.rows(), accumulator_options(options_));
     stack.equations.emplace(r_, options_.lia.variance, stack.store);
   }
-  // Paths retired before the first snapshot: on a fresh stack retiring
-  // flips nothing, so this is the state the eager calls would have left.
+  // Paths retired before the first snapshot (only drop-negative churns).
   for (std::size_t i = 0; i < r_.rows(); ++i) {
-    if (active_[i]) continue;
-    stack.equations->set_path_live(i, false);
-    if (stack.pair_accumulator) {
-      stack.pair_accumulator->retire_path(i);
-    } else {
-      stack.accumulator->retire_path(i);
-    }
+    if (!ledger_.active(i)) stack.accumulator->retire_path(i);
   }
   return stack;
 }
@@ -176,36 +173,32 @@ void LiaMonitor::ensure_stack() {
 
 void LiaMonitor::Stack::save_state(io::CheckpointWriter& writer) const {
   if (store) store->save_state(writer);
-  if (pair_accumulator) {
-    pair_accumulator->save_state(writer);
-  } else if (accumulator) {
-    accumulator->save_state(writer);
-  }
+  if (accumulator) accumulator->save_state(writer);
   equations->save_state(writer, store != nullptr);
 }
 
 void LiaMonitor::Stack::restore_state(io::CheckpointReader& reader,
                                       const linalg::SparseBinaryMatrix& r,
                                       const MonitorOptions& options) {
-  if (options.accumulator == CovarianceAccumulator::kDense) {
+  if (options.accumulator == CovarianceAccumulator::kSharingPairs) {
+    store = std::make_shared<SharingPairStore>();
+    store->restore_state(reader);
+    if (store->path_count() != r.rows()) {
+      throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
+                                "pair store path count != routing rows");
+    }
+    accumulator = std::make_unique<PairMoments>(store, r.rows(),
+                                                accumulator_options(options));
+    equations.emplace(r, options.lia.variance, store);
+  } else {
     // Keep-all keeps no accumulator (its relearn reads the window).
     if (options.lia.variance.negatives == NegativeCovariancePolicy::kDrop) {
-      accumulator.emplace(r.rows(), accumulator_options(options));
-      accumulator->restore_state(reader);
+      accumulator = std::make_unique<stats::StreamingMoments>(
+          r.rows(), accumulator_options(options));
     }
     equations.emplace(r, options.lia.variance);
-    equations->restore_state(reader, nullptr);
-    return;
   }
-  store = std::make_shared<SharingPairStore>();
-  store->restore_state(reader);
-  if (store->path_count() != r.rows()) {
-    throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
-                              "pair store path count != routing rows");
-  }
-  pair_accumulator.emplace(store, r.rows(), accumulator_options(options));
-  pair_accumulator->restore_state(reader);
-  equations.emplace(r, options.lia.variance, store);
+  if (accumulator) accumulator->restore_state(reader);
   equations->restore_state(reader, store);
 }
 
@@ -236,43 +229,18 @@ void LiaMonitor::publish_telemetry() {
   }
 }
 
-bool LiaMonitor::reads_window() const {
-  return engine_ == MonitorEngine::kBatch ||
-         options_.lia.variance.negatives != NegativeCovariancePolicy::kDrop;
-}
-
 std::size_t LiaMonitor::window_fill() const {
-  if (stack_.pair_accumulator) return stack_.pair_accumulator->count();
-  if (stack_.accumulator) return stack_.accumulator->count();
-  return window_.size();
-}
-
-const stats::CovarianceSource& LiaMonitor::covariance_source() const {
-  if (stack_.pair_accumulator) return *stack_.pair_accumulator;
-  return *stack_.accumulator;
+  if (window_) return window_->count();
+  return stack_.accumulator ? stack_.accumulator->count() : 0;
 }
 
 void LiaMonitor::push_snapshot(std::span<const double> y) {
   ensure_stack();
-  if (stack_.pair_accumulator) {
-    stack_.pair_accumulator->push(y);
-    return;
-  }
-  if (stack_.accumulator) {
+  if (window_) {
+    window_->push(y);
+  } else {
     stack_.accumulator->push(y);
-    return;
   }
-  window_.emplace_back(y.begin(), y.end());
-  if (window_.size() > options_.window) window_.pop_front();
-}
-
-bool LiaMonitor::path_full(std::size_t i) const {
-  if (!active_[i]) return false;
-  const std::size_t fill = window_fill();
-  // Snapshots pushed so far = ticks_ - 1 inside a relearn (the current
-  // snapshot enters the window after diagnosis) — the exact mirror of the
-  // accumulators' samples() bookkeeping.
-  return fill > 0 && ticks_ - 1 - activated_tick_[i] >= fill;
 }
 
 const VarianceEstimate& LiaMonitor::variances() const {
@@ -282,7 +250,7 @@ const VarianceEstimate& LiaMonitor::variances() const {
 
 std::size_t LiaMonitor::active_path_count() const {
   std::size_t count = 0;
-  for (const auto a : active_) count += a != 0;
+  for (std::size_t i = 0; i < ledger_.dim(); ++i) count += ledger_.active(i);
   return count;
 }
 
@@ -293,30 +261,19 @@ void LiaMonitor::set_path_active(std::size_t path, bool active) {
     throw std::logic_error(
         "streaming path churn requires the drop-negative policy");
   }
-  if ((active_[path] != 0) == active) return;
-  active_[path] = active ? 1 : 0;
-  if (active) activated_tick_[path] = ticks_;
+  if (ledger_.active(path) == active) return;
+  // An unbuilt stack replays the ledger when it is built (make_stack).
+  if (active) {
+    ledger_.activate(path, ticks_);
+    if (stack_.accumulator) stack_.accumulator->activate_path(path);
+  } else {
+    ledger_.retire(path);
+    if (stack_.accumulator) stack_.accumulator->retire_path(path);
+  }
   active_dirty_ = true;
   // Phase 2 must never run against a stale active set: force a relearn at
   // the next diagnosing tick.
   since_learn_ = options_.relearn_every;
-  // An unbuilt stack replays the ledger when it is built (make_stack).
-  if (stack_.equations) {
-    stack_.equations->set_path_live(path, active);
-    if (stack_.pair_accumulator) {
-      if (active) {
-        stack_.pair_accumulator->activate_path(path);
-      } else {
-        stack_.pair_accumulator->retire_path(path);
-      }
-    } else {
-      if (active) {
-        stack_.accumulator->activate_path(path);
-      } else {
-        stack_.accumulator->retire_path(path);
-      }
-    }
-  }
 }
 
 std::size_t LiaMonitor::add_path(std::vector<std::uint32_t> links) {
@@ -341,20 +298,17 @@ std::size_t LiaMonitor::add_paths(std::vector<std::vector<std::uint32_t>> rows,
   const std::size_t index = r_.rows();
   const std::size_t count = rows.size();
   r_.append_rows(new_links, std::move(rows));  // validates the rows
-  active_.resize(index + count, 1);
-  activated_tick_.resize(index + count, ticks_);
+  for (std::size_t k = 0; k < count; ++k) ledger_.add_dim(ticks_);
   active_dirty_ = true;
   since_learn_ = options_.relearn_every;
-  if (engine_ == MonitorEngine::kStreaming) {
+  if (window_) {
+    window_->add_dims(count);
+  } else {
     // Order matters with a shared store: the equations grow the link basis
     // and the store, then the accumulator aligns its pair values to it.
     stack_.equations->grow_links(new_links);
     stack_.equations->add_paths(r_, count);
-    if (stack_.pair_accumulator) {
-      stack_.pair_accumulator->add_paths(count);
-    } else {
-      stack_.accumulator->add_paths(count);
-    }
+    stack_.accumulator->add_paths(count);
   }
   if (obs_) obs_->registry->note("monitor.grow");
   return index;
@@ -365,7 +319,7 @@ void LiaMonitor::rebuild_active() {
   active_rows_.clear();
   std::vector<std::vector<std::uint32_t>> rows;
   for (std::size_t i = 0; i < r_.rows(); ++i) {
-    if (!active_[i]) continue;
+    if (!ledger_.active(i)) continue;
     active_rows_.push_back(static_cast<std::uint32_t>(i));
     const auto row = r_.row(i);
     rows.emplace_back(row.begin(), row.end());
@@ -376,16 +330,18 @@ void LiaMonitor::rebuild_active() {
 
 void LiaMonitor::relearn() {
   rebuild_active();
-  if (!reads_window()) {
-    stack_.equations->refresh(covariance_source());
+  if (!window_) {
+    stack_.equations->refresh(*stack_.accumulator);
     variance_ = stack_.equations->solve();
   } else {
-    // Estimate from the active paths whose window entries are all real
-    // measurements — the exact set whose pairs the accumulators report
-    // ready.
+    // Estimate from the paths whose window entries are all real
+    // measurements — the ledger rule the accumulators apply to their
+    // pairs.
     std::vector<std::uint32_t> full_rows;
     for (std::size_t i = 0; i < r_.rows(); ++i) {
-      if (path_full(i)) full_rows.push_back(static_cast<std::uint32_t>(i));
+      if (ledger_.ready(i, window_->pushes(), window_->count())) {
+        full_rows.push_back(static_cast<std::uint32_t>(i));
+      }
     }
     if (full_rows.size() < 2) {
       // Not enough learned history to estimate anything yet.
@@ -395,7 +351,7 @@ void LiaMonitor::relearn() {
     }
     stats::SnapshotMatrix history(full_rows.size(), options_.window);
     for (std::size_t l = 0; l < options_.window; ++l) {
-      const auto& y = window_[l];
+      const auto y = window_->row(l);
       for (std::size_t idx = 0; idx < full_rows.size(); ++idx) {
         history.at(l, idx) = y[full_rows[idx]];
       }
@@ -490,8 +446,7 @@ void LiaMonitor::save_state(io::CheckpointWriter& writer) const {
   for (std::size_t i = 0; i < r_.rows(); ++i) writer.u32s(r_.row(i));
   writer.usize(ticks_);
   writer.usize(since_learn_);
-  writer.u8s(active_);
-  writer.sizes(activated_tick_);
+  ledger_.save_state(writer);
   writer.boolean(variance_.has_value());
   if (variance_) save_estimate(writer, *variance_);
   if (engine_ == MonitorEngine::kStreaming) {
@@ -501,10 +456,7 @@ void LiaMonitor::save_state(io::CheckpointWriter& writer) const {
       make_stack().save_state(writer);
     }
   }
-  if (reads_window()) {
-    writer.usize(window_.size());
-    for (const auto& y : window_) writer.doubles(y);
-  }
+  if (window_) window_->save_state(writer);
   writer.end_section();
 }
 
@@ -561,12 +513,8 @@ void LiaMonitor::restore_state(io::CheckpointReader& reader) {
   }
   const std::size_t ticks = reader.usize();
   const std::size_t since_learn = reader.usize();
-  std::vector<std::uint8_t> active = reader.u8s();
-  std::vector<std::size_t> activated_tick = reader.sizes();
-  if (active.size() != nrows || activated_tick.size() != nrows) {
-    throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
-                              "activation ledger size != path count");
-  }
+  stats::PathChurnLedger ledger(nrows);
+  ledger.restore_state(reader);
   std::optional<VarianceEstimate> estimate;
   if (reader.boolean()) estimate = restore_estimate(reader);
   if (estimate && estimate->v.size() != cols) {
@@ -577,23 +525,13 @@ void LiaMonitor::restore_state(io::CheckpointReader& reader) {
   // Reconstruct the engine stack over the restored routing, restore its
   // serialized state into the fresh objects, and only then commit.
   Stack stack;
-  std::deque<linalg::Vector> snapshots;
+  std::optional<stats::SnapshotRing> snapshots;
   if (engine_ == MonitorEngine::kStreaming) {
     stack.restore_state(reader, *new_r, options_);
   }
-  if (reads_window()) {
-    const std::size_t stored = reader.usize();
-    if (stored > options_.window) {
-      throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
-                                "snapshot window larger than configured");
-    }
-    for (std::size_t l = 0; l < stored; ++l) {
-      snapshots.emplace_back(reader.doubles());
-      if (snapshots.back().size() != nrows) {
-        throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
-                                  "window snapshot has wrong size");
-      }
-    }
+  if (window_) {
+    snapshots.emplace(nrows, options_.window);
+    snapshots->restore_state(reader);
   }
   reader.end_section();
 
@@ -601,8 +539,7 @@ void LiaMonitor::restore_state(io::CheckpointReader& reader) {
   r_ = std::move(*new_r);
   ticks_ = ticks;
   since_learn_ = since_learn;
-  active_ = std::move(active);
-  activated_tick_ = std::move(activated_tick);
+  ledger_ = std::move(ledger);
   active_dirty_ = true;
   active_rows_.clear();
   active_r_.reset();

@@ -20,8 +20,8 @@
 //       only on the routing, so it is assembled and factorized exactly
 //       once, and h is the batch closed form on the snapshot window —
 //       O(m * nnz(R)) per relearn, bit-identical to the batch engine.  The
-//       monitor keeps only the window (push is O(np)) and no covariance
-//       accumulator;
+//       monitor keeps only the snapshot window (a stats::SnapshotRing;
+//       push is O(np)) and no covariance accumulator;
 //     - drop-negative: an incremental accumulator keeps the pair
 //       covariances current under rank-1 add/retire updates, and each
 //       refresh folds the pairs whose drop decision flipped into G.  A
@@ -33,10 +33,13 @@
 //       per tick) or the pair-indexed core::PairMoments (sharing-pair
 //       entries only, O(np + pairs) per tick — the configuration that
 //       scales drop-negative monitoring to multi-thousand-path overlays).
-//  * kBatch — the reference path: rebuild the m x np snapshot matrix and
-//    run the full Phase-1 estimate from scratch every relearn.  Retained
-//    for parity tests, and required for VarianceMethod::kDenseQr (the
-//    monitor falls back to it automatically in that configuration).
+//       Both are a stats::WindowMoments, and the monitor drives them
+//       through that shared core.
+//  * kBatch — the reference path: gather the m x np snapshot matrix from
+//    the window and run the full Phase-1 estimate from scratch every
+//    relearn.  Retained for parity tests, and required for
+//    VarianceMethod::kDenseQr (the monitor falls back to it automatically
+//    in that configuration).
 // Both engines fold every observed snapshot into the window regardless of
 // relearn_every.  Under keep-all they produce bit-identical variances and
 // inferences (tests/core/monitor_keepall_parity_test); under drop-negative
@@ -54,18 +57,20 @@
 // state carries over untouched for every unaffected path.  The *link*
 // universe can grow too: add_paths rows may reference fresh columns
 // (new_links), which enter identity-pinned through bordered growth of
-// the cached factor — no refactorization.
-// A (re)joining path warms up for one full window before its pair
-// equations enter Phase 1 (exactly the warm-up the initial window
-// imposes); Phase 2 re-eliminates on the active-row submatrix every
-// relearn.
+// the cached factor — no refactorization.  Grown paths have an all-zero
+// window history (the ring's zero tail).
+// One rule, stats::PathChurnLedger, decides what Phase 1 reads: a
+// (re)joining path warms up for one full window before its pair equations
+// enter (exactly the warm-up the initial window imposes), and a leaving
+// path's equations leave at the next relearn, whose refresh finds the
+// path not ready.  Phase 2 re-eliminates on the active-row submatrix
+// every relearn.
 // Streaming churn requires the drop-negative policy.  Callers must keep
 // supplying a snapshot entry for every known row — 0.0 for inactive
 // paths (a deterministic filler; never read by the estimator).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -195,10 +200,11 @@ class LiaMonitor {
 
   // -- Path churn ---------------------------------------------------------
 
-  /// Activates (join) or retires (leave) path `path`.  A retired path's
-  /// equations leave Phase 1 immediately and the path leaves Phase 2's
-  /// active submatrix; a (re)activated path warms up for one full window
-  /// before its pair equations re-enter.  Streaming engine: requires the
+  /// Activates (join) or retires (leave) path `path`.  A retired path
+  /// leaves Phase 2's active submatrix, and its equations leave Phase 1 at
+  /// the next relearn (which the churn forces at the next diagnosing
+  /// tick); a (re)activated path warms up for one full window before its
+  /// pair equations re-enter.  Streaming engine: requires the
   /// drop-negative policy (throws std::logic_error otherwise).
   void set_path_active(std::size_t path, bool active);
 
@@ -229,7 +235,7 @@ class LiaMonitor {
                         std::size_t new_links = 0);
 
   [[nodiscard]] bool path_active(std::size_t path) const {
-    return active_[path] != 0;
+    return ledger_.active(path);
   }
   [[nodiscard]] std::size_t active_path_count() const;
 
@@ -293,13 +299,13 @@ class LiaMonitor {
   struct Telemetry;  // pre-resolved metric handles (monitor.cpp)
 
   /// The streaming engine's state: the incrementally maintained normal
-  /// equations, under drop-negative the covariance accumulator (dense or
-  /// pair-indexed), and under kSharingPairs the pair store the two share.
-  /// Keep-all has no accumulator: its relearn reads window_.
+  /// equations, under drop-negative the covariance accumulator (dense
+  /// StreamingMoments or PairMoments), and under kSharingPairs the pair
+  /// store the two share.  Keep-all has no accumulator: its relearn reads
+  /// window_.
   struct Stack {
     std::shared_ptr<SharingPairStore> store;  // kSharingPairs only
-    std::optional<stats::StreamingMoments> accumulator;  // dense drop-negative
-    std::optional<PairMoments> pair_accumulator;  // kSharingPairs only
+    std::unique_ptr<stats::WindowMoments> accumulator;  // drop-negative only
     std::optional<StreamingNormalEquations> equations;
     void save_state(io::CheckpointWriter& writer) const;
     /// Fills an empty stack from `reader` over the restored routing `r`.
@@ -321,27 +327,19 @@ class LiaMonitor {
   /// state they are derived from.
   void publish_telemetry();
   void push_snapshot(std::span<const double> y);
-  /// True when the relearn reads the snapshot window (window_) rather than
-  /// an incremental accumulator: the batch engine, and the streaming engine
-  /// under keep-all.
-  [[nodiscard]] bool reads_window() const;
   [[nodiscard]] std::size_t window_fill() const;
-  /// The streaming engine's accumulator, whichever kind is engaged.
-  [[nodiscard]] const stats::CovarianceSource& covariance_source() const;
-  /// The window engines' mirror of the accumulators' validity rule: path
-  /// i's window entries are all real measurements.
-  [[nodiscard]] bool path_full(std::size_t i) const;
 
   MonitorOptions options_;
   MonitorEngine engine_;
   linalg::SparseBinaryMatrix r_;  // authoritative (grows under add_path)
-  // The snapshot window, oldest first (reads_window() engines only).
-  std::deque<linalg::Vector> window_;
+  // The snapshot window, when the relearn reads it rather than an
+  // incremental accumulator: the batch engine, and streaming keep-all.
+  std::optional<stats::SnapshotRing> window_;
   // Streaming engine state; empty until first use.
   Stack stack_;
-  // Activation ledger and the active-row submatrix Phase 2 runs on.
-  std::vector<std::uint8_t> active_;
-  std::vector<std::size_t> activated_tick_;  // ticks_ at last activation
+  // Activation ledger, in pushes = ticks_ (every observe pushes one
+  // snapshot), and the active-row submatrix Phase 2 runs on.
+  stats::PathChurnLedger ledger_;
   bool active_dirty_ = true;
   std::vector<std::uint32_t> active_rows_;
   std::optional<linalg::SparseBinaryMatrix> active_r_;

@@ -42,7 +42,6 @@ SharingPairStore SharingPairStore::build(const linalg::SparseBinaryMatrix& r,
   const std::size_t np = r.rows();
   SharingPairStore store;
   store.row_offsets_.assign(np + 1, 0);
-  store.row_live_.assign(np, 1);
   store.columns_ = r.column_lists();
   if (np == 0) return store;
   const auto& columns = store.columns_;
@@ -156,33 +155,13 @@ std::size_t SharingPairStore::add_rows(const linalg::SparseBinaryMatrix& r) {
     for (const auto j : partners) {
       linalg::intersect_sorted(row, r.row(j), shared);
       if (shared.empty()) continue;
-      const std::size_t p = partner_.size();
       partner_.push_back(j);
       link_offsets_.push_back(link_offsets_.back() + shared.size());
       links_.insert(links_.end(), shared.begin(), shared.end());
-      if (reverse_built_ && j != i_new) partner_pairs_[j].push_back(p);
     }
     row_offsets_.push_back(partner_.size());
-    row_live_.push_back(1);
-    if (reverse_built_) partner_pairs_.emplace_back();
   }
   return first_pair;
-}
-
-void SharingPairStore::set_row_live(std::size_t i, bool live) {
-  row_live_[i] = live ? 1 : 0;
-}
-
-void SharingPairStore::ensure_reverse_index() const {
-  if (reverse_built_) return;
-  partner_pairs_.assign(path_count(), {});
-  for (std::size_t i = 0; i < path_count(); ++i) {
-    for (std::size_t p = row_offsets_[i]; p < row_offsets_[i + 1]; ++p) {
-      const std::uint32_t j = partner_[p];
-      if (j != i) partner_pairs_[j].push_back(p);
-    }
-  }
-  reverse_built_ = true;
 }
 
 std::size_t SharingPairStore::find_pair(std::size_t i, std::size_t j) const {
@@ -204,24 +183,12 @@ std::size_t SharingPairStore::find_pair(std::size_t i, std::size_t j) const {
   return in_row(j, static_cast<std::uint32_t>(i));
 }
 
-void SharingPairStore::pairs_of_path(std::size_t i,
-                                     std::vector<std::size_t>& out) const {
-  ensure_reverse_index();
-  out.clear();
-  for (std::size_t p = row_offsets_[i]; p < row_offsets_[i + 1]; ++p) {
-    out.push_back(p);
-  }
-  out.insert(out.end(), partner_pairs_[i].begin(), partner_pairs_[i].end());
-  std::sort(out.begin(), out.end());
-}
-
 void SharingPairStore::save_state(io::CheckpointWriter& writer) const {
   writer.begin_section(io::tags::kSharingPairs);
   writer.sizes(row_offsets_);
   writer.u32s(partner_);
   writer.sizes(link_offsets_);
   writer.u32s(links_);
-  writer.u8s(row_live_);
   writer.usize(columns_.size());
   for (const auto& column : columns_) writer.u32s(column);
   writer.end_section();
@@ -234,7 +201,6 @@ void SharingPairStore::restore_state(io::CheckpointReader& reader) {
   tmp.partner_ = reader.u32s();
   tmp.link_offsets_ = reader.sizes();
   tmp.links_ = reader.u32s();
-  tmp.row_live_ = reader.u8s();
   const std::size_t column_count = reader.usize();
   if (column_count > reader.remaining() / 8) {
     throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
@@ -248,7 +214,6 @@ void SharingPairStore::restore_state(io::CheckpointReader& reader) {
   const std::size_t paths = tmp.path_count();
   bool ok = !tmp.row_offsets_.empty() && tmp.row_offsets_.front() == 0 &&
             tmp.row_offsets_.back() == tmp.partner_.size() &&
-            tmp.row_live_.size() == paths &&
             tmp.link_offsets_.size() == tmp.partner_.size() + 1 &&
             !tmp.link_offsets_.empty() && tmp.link_offsets_.front() == 0 &&
             tmp.link_offsets_.back() == tmp.links_.size();
@@ -280,16 +245,11 @@ std::size_t SharingPairStore::bytes() const {
   std::size_t total = row_offsets_.capacity() * sizeof(std::size_t) +
                       partner_.capacity() * sizeof(std::uint32_t) +
                       link_offsets_.capacity() * sizeof(std::size_t) +
-                      links_.capacity() * sizeof(std::uint32_t) +
-                      row_live_.capacity();
+                      links_.capacity() * sizeof(std::uint32_t);
   for (const auto& column : columns_) {
     total += column.capacity() * sizeof(std::uint32_t);
   }
   total += columns_.capacity() * sizeof(std::vector<std::uint32_t>);
-  for (const auto& pairs : partner_pairs_) {
-    total += pairs.capacity() * sizeof(std::size_t);
-  }
-  total += partner_pairs_.capacity() * sizeof(std::vector<std::size_t>);
   return total;
 }
 

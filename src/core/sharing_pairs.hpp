@@ -76,10 +76,13 @@ class PartnerFinder {
 /// independent of thread count — which is what the streaming reductions
 /// need.
 ///
+/// The store is pure structure: which paths are live is the covariance
+/// source's business (CovarianceSource::samples), so a path that leaves or
+/// rejoins the overlay changes nothing here.
+///
 /// Thread-safety: the structural readers (for_pairs, links, partner, row
-/// ranges) are safe to call concurrently once no mutator (add_row,
-/// set_row_live, first pairs_of_path call — it builds the reverse index
-/// lazily) is running.  Mutation is single-writer.
+/// ranges, find_pair) are safe to call concurrently once no mutator
+/// (add_row, add_rows) is running.  Mutation is single-writer.
 class SharingPairStore {
  public:
   SharingPairStore() = default;
@@ -114,22 +117,6 @@ class SharingPairStore {
   /// matrix copies.  Throws std::invalid_argument when `r` has fewer rows
   /// than the store.
   std::size_t add_rows(const linalg::SparseBinaryMatrix& r);
-
-  /// Row liveness (path churn): a dead row's pairs stay in the store —
-  /// indices are stable — but streaming consumers skip them.  A pair is
-  /// live iff both of its paths' rows are live.  Rows start live.
-  [[nodiscard]] bool row_live(std::size_t i) const {
-    return row_live_[i] != 0;
-  }
-  void set_row_live(std::size_t i, bool live);
-  [[nodiscard]] bool pair_live(std::size_t p, std::size_t i) const {
-    return row_live_[i] != 0 && row_live_[partner_[p]] != 0;
-  }
-
-  /// Every pair index involving path i, ascending: its own row's range
-  /// plus the pairs of other rows whose partner is i.  Builds a reverse
-  /// (partner -> pairs) index on first call — that call is a mutator.
-  void pairs_of_path(std::size_t i, std::vector<std::size_t>& out) const;
 
   /// Index of the stored pair (i, j), looked up in either orientation
   /// (O(log deg) binary search over both rows), or kNoPair when the paths
@@ -193,30 +180,20 @@ class SharingPairStore {
 
   // -- Checkpointing (io/checkpoint.hpp) ----------------------------------
   //
-  // Serializes the CSR arrays, the liveness flags, and the transpose
-  // incidence; the reverse (partner -> pairs) index is NOT serialized —
-  // it is a deterministic function of the rest and rebuilds lazily on the
-  // first pairs_of_path call.  restore_state replaces the whole store (it
-  // may target a default-constructed instance); on failure *this is
-  // unchanged.
+  // Serializes the CSR arrays and the transpose incidence.  restore_state
+  // replaces the whole store (it may target a default-constructed
+  // instance); on failure *this is unchanged.
   void save_state(io::CheckpointWriter& writer) const;
   void restore_state(io::CheckpointReader& reader);
 
  private:
-  void ensure_reverse_index() const;
-
   std::vector<std::size_t> row_offsets_;   // path_count + 1
   std::vector<std::uint32_t> partner_;     // partner path per pair
   std::vector<std::size_t> link_offsets_;  // pair_count + 1
   std::vector<std::uint32_t> links_;       // concatenated shared-link lists
-  std::vector<std::uint8_t> row_live_;     // per path
   // Transpose incidence of the routing matrix the store was built from,
   // maintained by add_row; powers incremental partner discovery.
   std::vector<std::vector<std::uint32_t>> columns_;
-  // Lazily built: pair ids where the path appears as the *partner* (its
-  // own-row pairs are already contiguous via row_offsets_).
-  mutable std::vector<std::vector<std::size_t>> partner_pairs_;
-  mutable bool reverse_built_ = false;
 };
 
 }  // namespace losstomo::core

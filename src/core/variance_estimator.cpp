@@ -403,31 +403,6 @@ void StreamingNormalEquations::apply_flips(
   pending_flips_ += flips.size();
 }
 
-void StreamingNormalEquations::set_path_live(std::size_t path, bool live) {
-  if (!drop_negative_) {
-    throw std::logic_error(
-        "path churn requires the drop-negative streaming configuration");
-  }
-  ensure_store();
-  if (path >= pairs_->path_count()) {
-    throw std::invalid_argument("path out of range");
-  }
-  if (pairs_->row_live(path) == live) return;
-  pairs_->set_row_live(path, live);
-  if (!live) {
-    // Flip the departing path's kept pairs out of G now; refresh() will
-    // skip the dead pairs from here on.
-    pairs_->pairs_of_path(path, path_pairs_scratch_);
-    std::vector<std::size_t> flips;
-    for (const auto p : path_pairs_scratch_) {
-      if (pair_kept_[p]) flips.push_back(p);
-    }
-    apply_flips(flips);
-  }
-  // Going live needs no immediate work: the pairs re-enter through
-  // refresh() once the covariance source reports them ready again.
-}
-
 void StreamingNormalEquations::add_path(const linalg::SparseBinaryMatrix& r) {
   add_paths(r, 1);
 }
@@ -536,7 +511,10 @@ const NormalEquations& StreamingNormalEquations::refresh(
   const std::size_t window = source.count();
 
   // Per-dimension readiness (path churn): a pair enters the system only
-  // when both paths' statistics cover the full current window.
+  // when both paths' statistics cover the full current window.  This is
+  // the only gate: a retired path reports 0 samples, so its kept pairs
+  // flip out of G here, exactly as a joining path's pairs flip in once
+  // warm.
   std::vector<std::uint8_t> ready(np_);
   for (std::size_t i = 0; i < np_; ++i) {
     ready[i] = source.samples(i) == window ? 1 : 0;
@@ -560,10 +538,10 @@ const NormalEquations& StreamingNormalEquations::refresh(
             begin, end,
             [&](std::size_t p, std::uint32_t i, std::uint32_t j,
                 std::span<const std::uint32_t> links) {
-              if (!pairs_->pair_live(p, i) || !ready[i] || !ready[j]) {
-                // Dead or warming pair: out of the system (neither used
-                // nor dropped — the counts of a one-shot refresh over the
-                // live-and-ready path subset).
+              if (!ready[i] || !ready[j]) {
+                // A retired or warming path's pair: out of the system
+                // (neither used nor dropped — the counts of a one-shot
+                // refresh over the ready path subset).
                 if (pair_kept_[p]) part.flips.push_back(p);
                 return;
               }
@@ -613,8 +591,7 @@ VarianceEstimate StreamingNormalEquations::solve() {
   if (!refreshed_) {
     throw std::logic_error("StreamingNormalEquations::solve before refresh");
   }
-  VarianceMethod method = options_.method;
-  if (method == VarianceMethod::kAuto) method = VarianceMethod::kNormal;
+  const VarianceMethod method = options_.method;
   if (method == VarianceMethod::kDenseQr) {
     throw std::invalid_argument(
         "StreamingNormalEquations does not support kDenseQr; use the batch "

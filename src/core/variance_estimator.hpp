@@ -14,10 +14,10 @@
 //  * kNnls         — non-negative least squares on the normal equations;
 //                    enforces v >= 0 by construction (extension, ablated in
 //                    bench/ablation_estimator).
-// kNormal and kNnls run one engine, StreamingNormalEquations: a batch
-// estimate is a fresh instance refreshed once from the source and solved.
-// kAuto picks per problem size; sampling-noise negatives in the LS solution
-// are clamped to zero and counted.
+// kNormal (the default) and kNnls run one engine, StreamingNormalEquations:
+// a batch estimate is a fresh instance refreshed once from the source and
+// solved.  Sampling-noise negatives in the LS solution are clamped to zero
+// and counted.
 #pragma once
 
 #include <cstddef>
@@ -38,7 +38,6 @@
 namespace losstomo::core {
 
 enum class VarianceMethod {
-  kAuto,
   kDenseQr,
   kNormal,
   kNnls,
@@ -51,7 +50,7 @@ enum class NegativeCovariancePolicy {
 };
 
 struct VarianceOptions {
-  VarianceMethod method = VarianceMethod::kAuto;
+  VarianceMethod method = VarianceMethod::kNormal;
   NegativeCovariancePolicy negatives = NegativeCovariancePolicy::kAuto;
   /// Largest dense A (in doubles) the kDenseQr backend may build.
   std::size_t dense_entry_cap = 20'000'000;
@@ -218,11 +217,11 @@ class StreamingNormalEquations {
   /// window over which sharing pairs are at least 1/8 of all pairs, else
   /// as an O(m) product of the two centred window columns (covariance(i,
   /// j) for a source with no window).  A pair enters the system only when
-  /// it is live (both paths' store rows live), ready (source.samples()
-  /// covers the full window for both paths — path-churn warm-up), and its
-  /// covariance is non-negative; skipped pairs count neither used nor
-  /// dropped, so the counts match a one-shot refresh over the
-  /// live-and-ready submatrix.
+  /// it is ready (source.samples() covers the full window for both paths:
+  /// a retired path reports 0, a joining one warms up for a window) and
+  /// its covariance is non-negative; skipped pairs count neither used nor
+  /// dropped, so the counts match a one-shot refresh over the ready
+  /// submatrix.
   const NormalEquations& refresh(const stats::CovarianceSource& source);
 
   // -- Path churn (scenario engine, src/scenario/) ------------------------
@@ -230,14 +229,11 @@ class StreamingNormalEquations {
   // Dimension changes never resize the factor: G stays nc x nc, and a link
   // whose every pair equation is gone is *identity-pinned* (unit diagonal,
   // zero elsewhere — its variance solves to exactly 0).  A path join or
-  // leave therefore reaches G as integer pair flips plus pin/unpin steps
-  // on the diagonal, and the next solve() refactorizes the changed G.
+  // leave needs no call here: the source's samples() report it, and the
+  // next refresh() folds the affected pairs into or out of G as integer
+  // pair flips plus pin/unpin steps on the diagonal; the next solve()
+  // refactorizes the changed G.  Growth registers rows and links below.
   // Drop-negative only (throws std::logic_error under keep-all).
-
-  /// Marks a path's pairs live/dead.  Going dead immediately flips its
-  /// kept pairs out of G (exact integer updates; the next solve
-  /// refactorizes).  Builds the lazy pair store if needed.
-  void set_path_live(std::size_t path, bool live);
 
   /// Registers one appended path (row r.rows()-1 of the grown routing
   /// matrix; earlier rows must be unchanged).  Its pairs join the store
@@ -361,7 +357,6 @@ class StreamingNormalEquations {
   // coverage count per link (a link is pinned in G while it reads 0).
   std::vector<std::uint32_t> coverage_;
   std::size_t pins_active_ = 0;
-  std::vector<std::size_t> path_pairs_scratch_;
   NormalEquations sys_;
   // The factor of G as it stood pending_flips_ flips ago; empty before the
   // first solve and after a growth that a jittered factor cannot follow.

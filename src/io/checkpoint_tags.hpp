@@ -26,6 +26,7 @@ inline constexpr char kRng[] = "RNG ";              // stats::Rng
 inline constexpr char kRunningStat[] = "RSTA";      // stats::RunningStat
 inline constexpr char kStreamingMoments[] = "SMOM"; // stats::StreamingMoments
 inline constexpr char kChurnLedger[] = "CHRN";      // stats::PathChurnLedger
+inline constexpr char kSnapshotRing[] = "RING";     // stats::SnapshotRing
 
 // core/ — the estimation engine.
 inline constexpr char kSharingPairs[] = "PAIR";     // core::SharingPairStore

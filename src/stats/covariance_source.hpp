@@ -101,12 +101,12 @@ class CovarianceSource {
 };
 
 /// Per-dimension activation bookkeeping shared by the churn-aware
-/// accumulators (stats::StreamingMoments, core::PairMoments).  The
-/// readiness rule is load-bearing for batch/streaming parity and lives
-/// only here: a dimension's statistics are valid for
-/// min(pushes - activated_at, window_count) trailing samples, and a pair
-/// enters an estimator only when both dimensions cover the full current
-/// window.
+/// accumulators (stats::WindowMoments) and the monitor's window engines
+/// (core::LiaMonitor).  The readiness rule is load-bearing for
+/// batch/streaming parity and lives only here: a dimension's statistics
+/// are valid for min(pushes - activated_at, window_count) trailing
+/// samples, and a pair enters an estimator only when both dimensions
+/// cover the full current window.
 class PathChurnLedger {
  public:
   explicit PathChurnLedger(std::size_t dim)
@@ -136,11 +136,15 @@ class PathChurnLedger {
     if (!active_[i]) return 0;
     return std::min(pushes - activated_at_[i], count);
   }
+  /// True when dimension i's statistics cover the whole (non-empty)
+  /// current window.
+  [[nodiscard]] bool ready(std::size_t i, std::size_t pushes,
+                           std::size_t count) const {
+    return count > 0 && samples(i, pushes, count) == count;
+  }
   [[nodiscard]] bool pair_ready(std::size_t i, std::size_t j,
                                 std::size_t pushes, std::size_t count) const {
-    if (count == 0) return false;
-    return samples(i, pushes, count) == count &&
-           samples(j, pushes, count) == count;
+    return ready(i, pushes, count) && ready(j, pushes, count);
   }
 
   /// Checkpoint hooks (io/checkpoint.hpp): the ledger is pure state, so

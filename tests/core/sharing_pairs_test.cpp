@@ -273,33 +273,6 @@ TEST(SharingPairStore, GrowsFromEmptyStore) {
   EXPECT_EQ(fresh.pair_count(), 1u);
 }
 
-TEST(SharingPairStore, PairsOfPathAndLiveness) {
-  const linalg::SparseBinaryMatrix r(3, {{0, 1}, {1, 2}, {0, 2}});
-  auto store = SharingPairStore::build(r);
-  // Every pair shares a link here: 6 pairs total.
-  ASSERT_EQ(store.pair_count(), 6u);
-  std::vector<std::size_t> pairs;
-  store.pairs_of_path(1, pairs);
-  // Path 1 appears in (0,1), (1,1), (1,2).
-  ASSERT_EQ(pairs.size(), 3u);
-  for (const auto p : pairs) {
-    const bool involved = store.partner(p) == 1 ||
-                          (p >= store.row_begin(1) && p < store.row_end(1));
-    EXPECT_TRUE(involved) << "pair " << p;
-  }
-
-  EXPECT_TRUE(store.row_live(1));
-  store.set_row_live(1, false);
-  store.for_pairs(0, store.pair_count(),
-                  [&](std::size_t p, std::uint32_t i, std::uint32_t j,
-                      std::span<const std::uint32_t>) {
-                    const bool touches1 = i == 1 || j == 1;
-                    EXPECT_EQ(store.pair_live(p, i), !touches1);
-                  });
-  store.set_row_live(1, true);
-  EXPECT_TRUE(store.pair_live(0, 0));
-}
-
 TEST(SharingPairStore, BytesScaleWithSharingStructure) {
   const auto r = tree_matrix();
   const auto store = SharingPairStore::build(r);

@@ -44,7 +44,6 @@ std::string combo_name(VarianceMethod method, NegativeCovariancePolicy policy,
                        std::size_t threads) {
   std::string name;
   switch (method) {
-    case VarianceMethod::kAuto: name = "auto"; break;
     case VarianceMethod::kDenseQr: name = "dense-qr"; break;
     case VarianceMethod::kNormal: name = "normal"; break;
     case VarianceMethod::kNnls: name = "nnls"; break;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -268,32 +269,66 @@ core::MonitorOptions monitor_options(core::CovarianceAccumulator acc,
   return options;
 }
 
+// What the original monitor does right before its checkpoint.
+enum class BeforeSave {
+  kObserve,  // only observe
+  kGrow,     // append a path two ticks before the save, so the window
+             // still holds snapshots recorded before the growth
+  kLeave,    // retire path 1 right before the save, with no observe in
+             // between: the image holds G with path 1's kept pairs
+};
+
 void monitor_roundtrip_case(core::CovarianceAccumulator acc,
-                            core::MonitorEngine engine) {
+                            core::MonitorEngine engine,
+                            BeforeSave before = BeforeSave::kObserve) {
   const auto net = losstomo::testing::make_two_beacon_network();
   const net::ReducedRoutingMatrix rrm(net.graph, net.paths);
   const auto options = monitor_options(acc, engine);
   const auto stream = make_stream(4 * options.window, 314);
+  const std::size_t save_at = 2 * options.window + 4;
+  // The appended path repeats path 0's route and measurement; a retired
+  // path 1 reads the 0.0 filler from the save on.
+  const auto row0 = rrm.matrix().row(0);
+  const std::vector<std::uint32_t> grown_row(row0.begin(), row0.end());
+  const auto snapshot = [&](const core::LiaMonitor& monitor, std::size_t l) {
+    linalg::Vector y = stream[l];
+    y.resize(monitor.routing().rows(), stream[l][0]);
+    if (before == BeforeSave::kLeave && l >= save_at) y[1] = 0.0;
+    return y;
+  };
 
   core::LiaMonitor original(rrm.matrix(), options);
-  for (std::size_t l = 0; l < 2 * options.window + 4; ++l) {
-    (void)original.observe(stream[l]);
+  for (std::size_t l = 0; l < save_at; ++l) {
+    if (before == BeforeSave::kGrow && l + 2 == save_at) {
+      (void)original.add_paths({grown_row});
+    }
+    (void)original.observe(snapshot(original, l));
   }
+  if (before == BeforeSave::kLeave) original.set_path_active(1, false);
   const auto image = image_of(original);
   core::LiaMonitor restored(rrm.matrix(), options);
   restore_from_image(restored, image);
   EXPECT_EQ(image_of(restored), image);
+  ASSERT_EQ(restored.routing().rows(), original.routing().rows());
+  EXPECT_EQ(restored.path_active(1), original.path_active(1));
 
-  for (std::size_t l = 2 * options.window + 4; l < stream.size(); ++l) {
-    const auto a = original.observe(stream[l]);
-    const auto b = restored.observe(stream[l]);
+  std::size_t diagnosed = 0;
+  for (std::size_t l = save_at; l < stream.size(); ++l) {
+    const auto a = original.observe(snapshot(original, l));
+    const auto b = restored.observe(snapshot(restored, l));
     ASSERT_EQ(a.has_value(), b.has_value());
     if (!a) continue;
+    ++diagnosed;
     ASSERT_EQ(a->loss.size(), b->loss.size());
     for (std::size_t k = 0; k < a->loss.size(); ++k) {
       EXPECT_EQ(a->loss[k], b->loss[k]) << "link " << k << " tick " << l;
     }
+    EXPECT_EQ(std::memcmp(a->loss.data(), b->loss.data(),
+                          a->loss.size() * sizeof(double)),
+              0)
+        << "tick " << l;
   }
+  EXPECT_GT(diagnosed, options.window);
   const auto* ea = original.streaming_equations();
   const auto* eb = restored.streaming_equations();
   ASSERT_EQ(ea == nullptr, eb == nullptr);
@@ -316,6 +351,27 @@ TEST(CheckpointRoundTrip, MonitorSharingPairsContinuesBitIdentically) {
 TEST(CheckpointRoundTrip, MonitorBatchEngineContinuesBitIdentically) {
   monitor_roundtrip_case(core::CovarianceAccumulator::kDense,
                          core::MonitorEngine::kBatch);
+}
+
+// Growth inside the window: every engine's image holds the grown width.
+TEST(CheckpointRoundTrip, MonitorRestoresInsideTheWindowAfterGrowth) {
+  monitor_roundtrip_case(core::CovarianceAccumulator::kDense,
+                         core::MonitorEngine::kBatch, BeforeSave::kGrow);
+  monitor_roundtrip_case(core::CovarianceAccumulator::kDense,
+                         core::MonitorEngine::kStreaming, BeforeSave::kGrow);
+  monitor_roundtrip_case(core::CovarianceAccumulator::kSharingPairs,
+                         core::MonitorEngine::kStreaming, BeforeSave::kGrow);
+}
+
+// A leave reaches G at the next refresh, so an image taken between the
+// leave and the next observe still holds the leaving path's kept pairs.
+TEST(CheckpointRoundTrip, MonitorRestoresBetweenLeaveAndObserve) {
+  monitor_roundtrip_case(core::CovarianceAccumulator::kDense,
+                         core::MonitorEngine::kStreaming, BeforeSave::kLeave);
+  monitor_roundtrip_case(core::CovarianceAccumulator::kSharingPairs,
+                         core::MonitorEngine::kStreaming, BeforeSave::kLeave);
+  monitor_roundtrip_case(core::CovarianceAccumulator::kDense,
+                         core::MonitorEngine::kBatch, BeforeSave::kLeave);
 }
 
 TEST(CheckpointRoundTrip, MonitorRejectsConfigMismatchIntact) {
