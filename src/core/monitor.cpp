@@ -76,11 +76,20 @@ MonitorOptions resolve_monitor_options(MonitorOptions options,
   return options;
 }
 
-stats::StreamingMomentsOptions accumulator_options(
+// The drop-negative accumulator over the stack's pair store: the one
+// place the accumulator type enters the stack.
+std::unique_ptr<stats::WindowMoments> make_accumulator(
+    std::shared_ptr<const SharingPairStore> store,
     const MonitorOptions& options) {
-  return {.window = options.window,
-          .refresh_every = options.refresh_every,
-          .threads = options.lia.variance.threads};
+  const stats::StreamingMomentsOptions window{
+      .window = options.window,
+      .refresh_every = options.refresh_every,
+      .threads = options.lia.variance.threads};
+  const std::size_t dim = store->path_count();
+  if (options.accumulator == CovarianceAccumulator::kSharingPairs) {
+    return std::make_unique<PairMoments>(std::move(store), dim, window);
+  }
+  return std::make_unique<stats::StreamingMoments>(dim, window);
 }
 
 void save_estimate(io::CheckpointWriter& writer, const VarianceEstimate& e) {
@@ -145,23 +154,14 @@ LiaMonitor::LiaMonitor(linalg::SparseBinaryMatrix r, MonitorOptions options)
 
 LiaMonitor::Stack LiaMonitor::make_stack() const {
   Stack stack;
-  if (options_.accumulator == CovarianceAccumulator::kDense) {
-    if (!window_) {
-      stack.accumulator = std::make_unique<stats::StreamingMoments>(
-          r_.rows(), accumulator_options(options_));
-    }
-    stack.equations.emplace(r_, options_.lia.variance);
-  } else {
+  // Keep-all (the streaming engine's window_) keeps neither store nor
+  // accumulator.
+  if (!window_) {
     stack.store = std::make_shared<SharingPairStore>(
         SharingPairStore::build(r_, options_.lia.variance.threads));
-    stack.accumulator = std::make_unique<PairMoments>(
-        stack.store, r_.rows(), accumulator_options(options_));
-    stack.equations.emplace(r_, options_.lia.variance, stack.store);
+    stack.accumulator = make_accumulator(stack.store, options_);
   }
-  // Paths retired before the first snapshot (only drop-negative churns).
-  for (std::size_t i = 0; i < r_.rows(); ++i) {
-    if (!ledger_.active(i)) stack.accumulator->retire_path(i);
-  }
+  stack.equations.emplace(r_, options_.lia.variance, stack.store);
   return stack;
 }
 
@@ -174,32 +174,26 @@ void LiaMonitor::ensure_stack() {
 void LiaMonitor::Stack::save_state(io::CheckpointWriter& writer) const {
   if (store) store->save_state(writer);
   if (accumulator) accumulator->save_state(writer);
-  equations->save_state(writer, store != nullptr);
+  equations->save_state(writer);
 }
 
 void LiaMonitor::Stack::restore_state(io::CheckpointReader& reader,
                                       const linalg::SparseBinaryMatrix& r,
                                       const MonitorOptions& options) {
-  if (options.accumulator == CovarianceAccumulator::kSharingPairs) {
+  // Keep-all keeps no store and no accumulator (its relearn reads the
+  // window).
+  if (options.lia.variance.negatives == NegativeCovariancePolicy::kDrop) {
     store = std::make_shared<SharingPairStore>();
     store->restore_state(reader);
     if (store->path_count() != r.rows()) {
       throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
                                 "pair store path count != routing rows");
     }
-    accumulator = std::make_unique<PairMoments>(store, r.rows(),
-                                                accumulator_options(options));
-    equations.emplace(r, options.lia.variance, store);
-  } else {
-    // Keep-all keeps no accumulator (its relearn reads the window).
-    if (options.lia.variance.negatives == NegativeCovariancePolicy::kDrop) {
-      accumulator = std::make_unique<stats::StreamingMoments>(
-          r.rows(), accumulator_options(options));
-    }
-    equations.emplace(r, options.lia.variance);
+    accumulator = make_accumulator(store, options);
+    accumulator->restore_state(reader);
   }
-  if (accumulator) accumulator->restore_state(reader);
-  equations->restore_state(reader, store);
+  equations.emplace(r, options.lia.variance, store);
+  equations->restore_state(reader);
 }
 
 LiaMonitor::LiaMonitor(LiaMonitor&&) = default;
@@ -262,13 +256,12 @@ void LiaMonitor::set_path_active(std::size_t path, bool active) {
         "streaming path churn requires the drop-negative policy");
   }
   if (ledger_.active(path) == active) return;
-  // An unbuilt stack replays the ledger when it is built (make_stack).
+  // The ledger alone records it: the next relearn's readiness mask carries
+  // it into Phase 1.
   if (active) {
     ledger_.activate(path, ticks_);
-    if (stack_.accumulator) stack_.accumulator->activate_path(path);
   } else {
     ledger_.retire(path);
-    if (stack_.accumulator) stack_.accumulator->retire_path(path);
   }
   active_dirty_ = true;
   // Phase 2 must never run against a stale active set: force a relearn at
@@ -330,18 +323,22 @@ void LiaMonitor::rebuild_active() {
 
 void LiaMonitor::relearn() {
   rebuild_active();
+  // The one readiness rule of every engine: a path enters Phase 1 once the
+  // window holds nothing but real measurements for it.
+  const std::size_t pushes =
+      window_ ? window_->pushes() : stack_.accumulator->pushes();
+  const std::size_t fill = window_fill();
+  std::vector<std::uint8_t> ready(r_.rows());
+  for (std::size_t i = 0; i < r_.rows(); ++i) {
+    ready[i] = ledger_.ready(i, pushes, fill) ? 1 : 0;
+  }
   if (!window_) {
-    stack_.equations->refresh(*stack_.accumulator);
+    stack_.equations->refresh(*stack_.accumulator, ready);
     variance_ = stack_.equations->solve();
   } else {
-    // Estimate from the paths whose window entries are all real
-    // measurements — the ledger rule the accumulators apply to their
-    // pairs.
     std::vector<std::uint32_t> full_rows;
     for (std::size_t i = 0; i < r_.rows(); ++i) {
-      if (ledger_.ready(i, window_->pushes(), window_->count())) {
-        full_rows.push_back(static_cast<std::uint32_t>(i));
-      }
+      if (ready[i]) full_rows.push_back(static_cast<std::uint32_t>(i));
     }
     if (full_rows.size() < 2) {
       // Not enough learned history to estimate anything yet.
@@ -514,7 +511,7 @@ void LiaMonitor::restore_state(io::CheckpointReader& reader) {
   const std::size_t ticks = reader.usize();
   const std::size_t since_learn = reader.usize();
   stats::PathChurnLedger ledger(nrows);
-  ledger.restore_state(reader);
+  ledger.restore_state(reader, ticks);
   std::optional<VarianceEstimate> estimate;
   if (reader.boolean()) estimate = restore_estimate(reader);
   if (estimate && estimate->v.size() != cols) {
@@ -534,6 +531,13 @@ void LiaMonitor::restore_state(io::CheckpointReader& reader) {
     snapshots->restore_state(reader);
   }
   reader.end_section();
+  // Every observe pushes one snapshot, and the readiness mask reads the
+  // ledger against the window's push count: the two must agree.
+  if ((snapshots ? snapshots->pushes() : stack.accumulator->pushes()) !=
+      ticks) {
+    throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
+                              "window push count != tick count");
+  }
 
   // Commit (non-throwing moves), then recompute the derived Phase-2 state.
   r_ = std::move(*new_r);

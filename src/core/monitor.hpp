@@ -59,12 +59,13 @@
 // (new_links), which enter identity-pinned through bordered growth of
 // the cached factor — no refactorization.  Grown paths have an all-zero
 // window history (the ring's zero tail).
-// One rule, stats::PathChurnLedger, decides what Phase 1 reads: a
-// (re)joining path warms up for one full window before its pair equations
-// enter (exactly the warm-up the initial window imposes), and a leaving
-// path's equations leave at the next relearn, whose refresh finds the
-// path not ready.  Phase 2 re-eliminates on the active-row submatrix
-// every relearn.
+// One rule, the monitor's stats::PathChurnLedger, decides what Phase 1
+// reads: each relearn turns it into one per-path readiness mask that every
+// engine reads.  A (re)joining path warms up for one full window before its
+// pair equations enter (exactly the warm-up the initial window imposes),
+// and a leaving path's equations leave at the next relearn, whose mask
+// marks the path not ready.  Phase 2 re-eliminates on the active-row
+// submatrix every relearn.
 // Streaming churn requires the drop-negative policy.  Callers must keep
 // supplying a snapshot entry for every known row — 0.0 for inactive
 // paths (a deterministic filler; never read by the estimator).
@@ -155,10 +156,10 @@ class LiaMonitor {
   /// temporary is safe.  Throws std::invalid_argument for window < 2,
   /// relearn_every == 0, or an inconsistent accumulator configuration.
   /// The streaming engine builds nothing here: its normal equations (and,
-  /// under drop-negative, its accumulator: dense StreamingMoments or the
-  /// pair store with PairMoments) are built at the first call that needs
-  /// them (observe or add_paths), and restore_state installs the loaded
-  /// ones instead, so a monitor that is constructed only to be restored
+  /// under drop-negative, the pair store and the accumulator, dense
+  /// StreamingMoments or PairMoments) are built at the first call that
+  /// needs them (observe or add_paths), and restore_state installs the
+  /// loaded ones instead, so a monitor that is constructed only to be restored
   /// never builds a stack.
   explicit LiaMonitor(linalg::SparseBinaryMatrix r, MonitorOptions options = {});
   LiaMonitor(LiaMonitor&&);
@@ -270,16 +271,16 @@ class LiaMonitor {
   //
   // save_state serializes the complete mutable monitor: the (possibly
   // grown) routing matrix, tick/relearn counters, the activation ledger,
-  // the current Phase-1 estimate, the streaming stack (shared pair store,
-  // accumulator rings, incrementally maintained normal equations with
-  // their cached factor), and the snapshot window when the relearn reads
-  // it (batch engine; streaming keep-all, whose image is the window plus
-  // the cached factor and h — O(np m + nc^2), no np x np matrix).  The
-  // Phase-2 elimination is NOT serialized — it is a pure function of
-  // (active routing, variances) and is recomputed on restore,
-  // bit-identically.
+  // the current Phase-1 estimate, the streaming stack (under drop-negative
+  // the pair store and the accumulator ring; the incrementally maintained
+  // normal equations with their cached factor), and the snapshot window
+  // when the relearn reads it (batch engine; streaming keep-all, whose
+  // image is the window plus the cached factor and h — O(np m + nc^2), no
+  // np x np matrix).  The Phase-2 elimination is NOT serialized — it is a
+  // pure function of (active routing, variances) and is recomputed on
+  // restore, bit-identically.
   //
-  // A kSharingPairs monitor saved before its first snapshot serializes the
+  // A streaming monitor saved before its first snapshot serializes the
   // stack its first use would build, so the image does not depend on when
   // the stack was built.
   //
@@ -299,12 +300,12 @@ class LiaMonitor {
   struct Telemetry;  // pre-resolved metric handles (monitor.cpp)
 
   /// The streaming engine's state: the incrementally maintained normal
-  /// equations, under drop-negative the covariance accumulator (dense
-  /// StreamingMoments or PairMoments), and under kSharingPairs the pair
-  /// store the two share.  Keep-all has no accumulator: its relearn reads
-  /// window_.
+  /// equations and, under drop-negative, the covariance accumulator (dense
+  /// StreamingMoments or PairMoments) and the pair store, which the stack
+  /// owns, checkpoints, and shares with the equations (and PairMoments).
+  /// Keep-all has neither: its relearn reads window_.
   struct Stack {
-    std::shared_ptr<SharingPairStore> store;  // kSharingPairs only
+    std::shared_ptr<SharingPairStore> store;            // drop-negative only
     std::unique_ptr<stats::WindowMoments> accumulator;  // drop-negative only
     std::optional<StreamingNormalEquations> equations;
     void save_state(io::CheckpointWriter& writer) const;
@@ -314,7 +315,7 @@ class LiaMonitor {
                        const MonitorOptions& options);
   };
 
-  /// A fresh stack over the current routing and activation ledger.
+  /// A fresh stack over the current routing.
   [[nodiscard]] Stack make_stack() const;
   /// Builds the stack at its first use (no-op once built).
   void ensure_stack();

@@ -24,7 +24,7 @@ PairMoments::PairMoments(std::shared_ptr<const SharingPairStore> store,
 
 void PairMoments::push(std::span<const double> y) {
   if (cross_.size() != store_->pair_count()) {
-    throw std::logic_error("pair store grew without PairMoments::add_path");
+    throw std::logic_error("pair store grew without PairMoments::add_paths");
   }
   WindowMoments::push(y);
 }

@@ -9,10 +9,10 @@
 // (two rank-1 passes over the stored pair list), and memory is O(np *
 // window + pairs) instead of O(np^2).
 //
-// Ring, means, churn ledger, drift-refresh cadence and checkpoint are the
-// shared sliding-window core (stats::WindowMoments), so the two
-// accumulators agree entry by entry up to floating-point drift on every
-// stored pair.  The full covariance matrix and the window's samples are
+// Ring, means, drift-refresh cadence and checkpoint are the shared
+// sliding-window core (stats::WindowMoments), so the two accumulators
+// agree entry by entry up to floating-point drift on every stored pair.
+// The full covariance matrix and the window's samples are
 // deliberately NOT served — matrix() throws and centered_flat() is empty —
 // which is why this source only powers the drop-negative policy; a
 // keep-all relearn reads the monitor's snapshot window instead.
@@ -33,7 +33,7 @@ namespace losstomo::core {
 
 /// Pair-indexed sparse sliding-window covariance accumulator.
 ///
-/// Thread-safety: single-writer (push/refresh/add_path/activate mutate);
+/// Thread-safety: single-writer (push/refresh/add_paths mutate);
 /// reads parallelize internally per options.threads with bit-identical
 /// results at any thread count.
 class PairMoments final : public stats::WindowMoments {

@@ -76,9 +76,9 @@ class PartnerFinder {
 /// independent of thread count — which is what the streaming reductions
 /// need.
 ///
-/// The store is pure structure: which paths are live is the covariance
-/// source's business (CovarianceSource::samples), so a path that leaves or
-/// rejoins the overlay changes nothing here.
+/// The store is pure structure: which paths are live is the readiness
+/// mask's business (StreamingNormalEquations::refresh), so a path that
+/// leaves or rejoins the overlay changes nothing here.
 ///
 /// Thread-safety: the structural readers (for_pairs, links, partner, row
 /// ranges, find_pair) are safe to call concurrently once no mutator

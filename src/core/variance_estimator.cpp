@@ -303,13 +303,28 @@ VarianceEstimate estimate_link_variances(const linalg::SparseBinaryMatrix& r,
 
 StreamingNormalEquations::StreamingNormalEquations(
     const linalg::SparseBinaryMatrix& r, const VarianceOptions& options)
+    : StreamingNormalEquations(
+          r, options,
+          resolve_negative_policy(options, r.rows())
+              ? std::make_shared<SharingPairStore>(
+                    SharingPairStore::build(r, options.threads))
+              : nullptr) {}
+
+StreamingNormalEquations::StreamingNormalEquations(
+    const linalg::SparseBinaryMatrix& r, const VarianceOptions& options,
+    std::shared_ptr<SharingPairStore> store)
     : options_(options),
       np_(r.rows()),
       nc_(r.cols()),
-      drop_negative_(resolve_negative_policy(options, r.rows())) {
+      drop_negative_(resolve_negative_policy(options, r.rows())),
+      pairs_(std::move(store)) {
   sys_.g = linalg::Matrix(nc_, nc_);
   sys_.h.assign(nc_, 0.0);
   if (!drop_negative_) {
+    if (pairs_) {
+      throw std::invalid_argument(
+          "a pair store requires the drop-negative policy");
+    }
     // Keep-all: G depends only on the routing matrix.
     const linalg::CoTraversalGram gram(r);
     sys_.g = augmented_normal_matrix(gram, options_.threads);
@@ -317,31 +332,16 @@ StreamingNormalEquations::StreamingNormalEquations(
     column_paths_ = r.column_lists();
     return;
   }
-  // Drop-negative: defer the sharing-pair enumeration to the first
-  // refresh() (lazy build keeps construction O(nnz) — just this copy).
+  if (!pairs_ || pairs_->path_count() != np_) {
+    throw std::invalid_argument("pair store does not match the routing matrix");
+  }
   // Every pair starts "dropped", so every link starts identity-pinned:
   // G = I, and the first refresh folds the kept pairs in (and the pins
   // out) through the flip path.
-  pending_r_ = r;
+  pair_kept_.assign(pairs_->pair_count(), 0);
   coverage_.assign(nc_, 0);
   pins_active_ = nc_;
   for (std::size_t a = 0; a < nc_; ++a) sys_.g(a, a) = 1.0;
-}
-
-StreamingNormalEquations::StreamingNormalEquations(
-    const linalg::SparseBinaryMatrix& r, const VarianceOptions& options,
-    std::shared_ptr<SharingPairStore> store)
-    : StreamingNormalEquations(r, options) {
-  if (!drop_negative_) {
-    throw std::invalid_argument(
-        "a shared pair store requires the drop-negative policy");
-  }
-  if (!store || store->path_count() != np_) {
-    throw std::invalid_argument("pair store does not match the routing matrix");
-  }
-  pairs_ = std::move(store);
-  pair_kept_.assign(pairs_->pair_count(), 0);
-  pending_r_.reset();
 }
 
 StreamingNormalEquations::StreamingNormalEquations(NormalEquations sys,
@@ -364,14 +364,6 @@ StreamingNormalEquations::StreamingNormalEquations(NormalEquations sys,
 }
 
 StreamingNormalEquations::~StreamingNormalEquations() = default;
-
-void StreamingNormalEquations::ensure_store() {
-  if (pairs_) return;
-  pairs_ = std::make_shared<SharingPairStore>(
-      SharingPairStore::build(*pending_r_, options_.threads));
-  pair_kept_.assign(pairs_->pair_count(), 0);
-  pending_r_.reset();
-}
 
 // Folds the flipped pairs into G.  The counts are integers, so the order
 // does not matter and the result exactly matches a from-scratch
@@ -403,10 +395,6 @@ void StreamingNormalEquations::apply_flips(
   pending_flips_ += flips.size();
 }
 
-void StreamingNormalEquations::add_path(const linalg::SparseBinaryMatrix& r) {
-  add_paths(r, 1);
-}
-
 void StreamingNormalEquations::add_paths(const linalg::SparseBinaryMatrix& r,
                                          std::size_t count) {
   if (!drop_negative_) {
@@ -425,10 +413,6 @@ void StreamingNormalEquations::add_paths(const linalg::SparseBinaryMatrix& r,
         "add_paths: link universe mismatch (call grow_links first)");
   }
   np_ = r.rows();
-  if (!pairs_) {
-    pending_r_ = r;  // still lazy: the eventual build covers the new rows
-    return;
-  }
   pairs_->add_rows(r);
   // New pairs join dropped; they enter G through refresh() when ready.
   pair_kept_.resize(pairs_->pair_count(), 0);
@@ -467,11 +451,19 @@ void StreamingNormalEquations::grow_links(std::size_t count) {
 }
 
 const NormalEquations& StreamingNormalEquations::refresh(
-    const stats::CovarianceSource& source) {
+    const stats::CovarianceSource& source,
+    std::span<const std::uint8_t> ready) {
   if (source.dim() != np_) {
     throw std::invalid_argument("source dimension != path count");
   }
   if (source.count() < 2) throw std::invalid_argument("need >= 2 snapshots");
+  if (!ready.empty() && ready.size() != np_) {
+    throw std::invalid_argument("readiness mask size != path count");
+  }
+  if (!drop_negative_ &&
+      std::find(ready.begin(), ready.end(), 0) != ready.end()) {
+    throw std::invalid_argument("the keep-all policy reads every path");
+  }
   refreshed_ = true;
 
   if (!drop_negative_) {
@@ -480,8 +472,6 @@ const NormalEquations& StreamingNormalEquations::refresh(
                                   column_paths_, options_.threads);
     return sys_;
   }
-
-  ensure_store();
 
   // Where each pair's covariance comes from:
   //  * an aligned pair-indexed source (core::PairMoments on this very
@@ -509,16 +499,10 @@ const NormalEquations& StreamingNormalEquations::refresh(
   // bit-identical to PairMoments::pair_covariance.
   const double pair_denom = static_cast<double>(source.count() - 1);
   const std::size_t window = source.count();
-
-  // Per-dimension readiness (path churn): a pair enters the system only
-  // when both paths' statistics cover the full current window.  This is
-  // the only gate: a retired path reports 0 samples, so its kept pairs
+  // Path churn: a retired or warming path is not ready, so its kept pairs
   // flip out of G here, exactly as a joining path's pairs flip in once
   // warm.
-  std::vector<std::uint8_t> ready(np_);
-  for (std::size_t i = 0; i < np_; ++i) {
-    ready[i] = source.samples(i) == window ? 1 : 0;
-  }
+  const bool all_ready = ready.empty();
 
   struct Partial {
     linalg::Vector h;
@@ -538,7 +522,7 @@ const NormalEquations& StreamingNormalEquations::refresh(
             begin, end,
             [&](std::size_t p, std::uint32_t i, std::uint32_t j,
                 std::span<const std::uint32_t> links) {
-              if (!ready[i] || !ready[j]) {
+              if (!all_ready && (!ready[i] || !ready[j])) {
                 // A retired or warming path's pair: out of the system
                 // (neither used nor dropped — the counts of a one-shot
                 // refresh over the ready path subset).
@@ -642,8 +626,8 @@ void StreamingNormalEquations::refactorize() {
   ++refactorizations_;
 }
 
-void StreamingNormalEquations::save_state(io::CheckpointWriter& writer,
-                                          bool store_external) const {
+void StreamingNormalEquations::save_state(
+    io::CheckpointWriter& writer) const {
   writer.begin_section(io::tags::kNormalEquations);
   writer.usize(np_);
   writer.usize(nc_);
@@ -666,10 +650,6 @@ void StreamingNormalEquations::save_state(io::CheckpointWriter& writer,
   writer.usize(factor_attempts_);
   writer.usize(links_grown_);
   if (drop_negative_) {
-    const bool has_store = pairs_ != nullptr;
-    writer.boolean(has_store);
-    writer.boolean(store_external);
-    if (has_store && !store_external) pairs_->save_state(writer);
     writer.u8s(pair_kept_);
     writer.u32s(coverage_);
     writer.usize(pins_active_);
@@ -677,8 +657,7 @@ void StreamingNormalEquations::save_state(io::CheckpointWriter& writer,
   writer.end_section();
 }
 
-void StreamingNormalEquations::restore_state(
-    io::CheckpointReader& reader, std::shared_ptr<SharingPairStore> store) {
+void StreamingNormalEquations::restore_state(io::CheckpointReader& reader) {
   reader.expect_section(io::tags::kNormalEquations);
   const std::size_t np = reader.usize();
   const std::size_t nc = reader.usize();
@@ -722,39 +701,15 @@ void StreamingNormalEquations::restore_state(
     throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
                               "normal equations G/h have the wrong shape");
   }
-  std::shared_ptr<SharingPairStore> pairs;
   std::vector<std::uint8_t> pair_kept;
   std::vector<std::uint32_t> coverage;
   std::size_t pins_active = 0;
-  bool has_store = false;
   if (drop_negative_) {
-    has_store = reader.boolean();
-    const bool store_external = reader.boolean();
-    if (has_store) {
-      if (store_external) {
-        if (store == nullptr) {
-          throw io::CheckpointError(
-              io::CheckpointErrorKind::kMismatch,
-              "checkpoint expects a shared pair store, none was provided");
-        }
-        pairs = std::move(store);
-      } else {
-        if (store != nullptr) {
-          throw io::CheckpointError(
-              io::CheckpointErrorKind::kMismatch,
-              "checkpoint embeds its own pair store, but a shared store "
-              "was provided");
-        }
-        pairs = std::make_shared<SharingPairStore>();
-        pairs->restore_state(reader);
-      }
-    }
     pair_kept = reader.u8s();
     coverage = reader.u32s();
     pins_active = reader.usize();
-    const std::size_t pair_count = pairs ? pairs->pair_count() : 0;
-    if (pair_kept.size() != pair_count || coverage.size() != nc_ ||
-        pins_active > nc_ || (pairs && pairs->path_count() != np_)) {
+    if (pair_kept.size() != pairs_->pair_count() || coverage.size() != nc_ ||
+        pins_active > nc_) {
       throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
                                 "kept-pair/pin state is inconsistent");
     }
@@ -772,11 +727,6 @@ void StreamingNormalEquations::restore_state(
   factor_attempts_ = factor_attempts;
   links_grown_ = links_grown;
   if (drop_negative_) {
-    if (has_store) {
-      pairs_ = std::move(pairs);
-      pending_r_.reset();
-    }
-    // else: the lazy pending_r_ installed by the constructor stays.
     pair_kept_ = std::move(pair_kept);
     coverage_ = std::move(coverage);
     pins_active_ = pins_active;

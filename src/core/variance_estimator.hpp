@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -160,22 +161,23 @@ VarianceEstimate estimate_link_variances(const linalg::SparseBinaryMatrix& r,
 ///    refresh() computes h with the closed form (augmented_normal_rhs) on
 ///    the source's centred window samples, in O(m * nnz(r)); no np x np
 ///    matrix is read;
-///  * drop-negative: the sharing pairs live in a SharingPairStore built
-///    *lazily* on the first refresh() (chunk-parallel, memory proportional
-///    to the sharing structure — see core/sharing_pairs.hpp), so
-///    constructing a monitor on a 10k+ path overlay costs nothing until
-///    streaming actually starts.  Each refresh() re-reads every pair's
-///    covariance; only pairs whose drop decision flipped touch G (exact
-///    integer +/-1 counts).  solve() has one factor rule: it reuses the
-///    cached Cholesky factor while G is exactly the factored G (no pair
-///    has flipped since the factorization), and otherwise refactorizes G
-///    with the jitter ladder — pivot floor, jitter rungs and the
-///    rank-revealing fallback (rank_revealing_min_attempts).  A streaming
-///    instance therefore makes the batch estimate's singular-window
-///    decisions by construction: it runs the same code on the same integer
-///    G.  (An iterative solve through a stale factor could not: h = A^T
-///    Sigma lies in range(G), so its Krylov space never meets null(G), and
-///    no test on that side sees a window that left G singular.)
+///  * drop-negative: the sharing pairs live in a SharingPairStore
+///    (chunk-parallel build, memory proportional to the sharing structure
+///    — see core/sharing_pairs.hpp), built at construction or handed in by
+///    its owner (core::LiaMonitor's stack, which shares it with the
+///    pair-indexed accumulator and checkpoints it).  Each refresh()
+///    re-reads every pair's covariance; only pairs whose drop decision
+///    flipped touch G (exact integer +/-1 counts).  solve() has one factor
+///    rule: it reuses the cached Cholesky factor while G is exactly the
+///    factored G (no pair has flipped since the factorization), and
+///    otherwise refactorizes G with the jitter ladder — pivot floor, jitter
+///    rungs and the rank-revealing fallback (rank_revealing_min_attempts).
+///    A streaming instance therefore makes the batch estimate's
+///    singular-window decisions by construction: it runs the same code on
+///    the same integer G.  (An iterative solve through a stale factor
+///    could not: h = A^T Sigma lies in range(G), so its Krylov space never
+///    meets null(G), and no test on that side sees a window that left G
+///    singular.)
 ///
 /// Under drop-negative, refresh() rebuilds h from the source's current pair
 /// covariances — cost proportional to the sharing structure, independent
@@ -189,17 +191,17 @@ VarianceEstimate estimate_link_variances(const linalg::SparseBinaryMatrix& r,
 /// supported.
 class StreamingNormalEquations {
  public:
-  /// O(nc^2) for keep-all (Gram assembly); O(nnz(r)) copy for
-  /// drop-negative (the pair store is deferred to the first refresh).
+  /// O(nc^2) for keep-all (Gram assembly); under drop-negative, builds
+  /// its own pair store of `r` (SharingPairStore::build).
   StreamingNormalEquations(const linalg::SparseBinaryMatrix& r,
                            const VarianceOptions& options = {});
 
-  /// Drop-negative with an externally owned (shared) pair store — the
-  /// configuration the pair-indexed covariance accumulator
-  /// (core::PairMoments) uses, so refresh() reads each pair's covariance by
-  /// its store index in O(1).  `store` must enumerate exactly the pairs of
-  /// `r` and stay alive; the resolved policy must be drop-negative (throws
-  /// std::invalid_argument otherwise).
+  /// Over a pair store owned by the caller — core::LiaMonitor's stack,
+  /// which shares it with the pair-indexed accumulator (core::PairMoments,
+  /// whose pair covariances refresh() then reads by store index in O(1))
+  /// and checkpoints it.  `store` must enumerate exactly the pairs of `r`
+  /// under drop-negative and be nullptr under keep-all (throws
+  /// std::invalid_argument otherwise).  add_paths grows it.
   StreamingNormalEquations(const linalg::SparseBinaryMatrix& r,
                            const VarianceOptions& options,
                            std::shared_ptr<SharingPairStore> store);
@@ -216,36 +218,37 @@ class StreamingNormalEquations {
   /// else from S when the source keeps it (matrix_is_cheap()) or serves a
   /// window over which sharing pairs are at least 1/8 of all pairs, else
   /// as an O(m) product of the two centred window columns (covariance(i,
-  /// j) for a source with no window).  A pair enters the system only when
-  /// it is ready (source.samples() covers the full window for both paths:
-  /// a retired path reports 0, a joining one warms up for a window) and
-  /// its covariance is non-negative; skipped pairs count neither used nor
+  /// j) for a source with no window).
+  ///
+  /// `ready` holds one flag per path (or is empty: every path ready).  A
+  /// pair enters the system only when both its paths are ready and its
+  /// covariance is non-negative; skipped pairs count neither used nor
   /// dropped, so the counts match a one-shot refresh over the ready
-  /// submatrix.
-  const NormalEquations& refresh(const stats::CovarianceSource& source);
+  /// submatrix.  core::LiaMonitor derives the mask from its
+  /// stats::PathChurnLedger: a retired path is not ready, and a joining
+  /// one warms up for a window.  Keep-all has no path churn and throws
+  /// std::invalid_argument for a mask that marks a path not ready; any
+  /// mask of the wrong size throws std::invalid_argument too.
+  const NormalEquations& refresh(const stats::CovarianceSource& source,
+                                 std::span<const std::uint8_t> ready = {});
 
   // -- Path churn (scenario engine, src/scenario/) ------------------------
   //
   // Dimension changes never resize the factor: G stays nc x nc, and a link
   // whose every pair equation is gone is *identity-pinned* (unit diagonal,
   // zero elsewhere — its variance solves to exactly 0).  A path join or
-  // leave needs no call here: the source's samples() report it, and the
+  // leave needs no call here: the readiness mask reports it, and the
   // next refresh() folds the affected pairs into or out of G as integer
   // pair flips plus pin/unpin steps on the diagonal; the next solve()
   // refactorizes the changed G.  Growth registers rows and links below.
   // Drop-negative only (throws std::logic_error under keep-all).
 
-  /// Registers one appended path (row r.rows()-1 of the grown routing
-  /// matrix; earlier rows must be unchanged).  Its pairs join the store
-  /// dropped — they enter G through refresh() once the covariance source
-  /// reports them ready.  With a shared store this is the call that grows
-  /// it: invoke BEFORE PairMoments::add_path.
-  void add_path(const linalg::SparseBinaryMatrix& r);
-
-  /// Batched growth: registers `count` appended paths (the trailing rows
-  /// of `r`; earlier rows must be unchanged) in one step — the pair store
-  /// grows once, state-identical to `count` add_path calls but without the
-  /// per-row bookkeeping resizes.  Rows referencing new links require a
+  /// Registers `count` appended paths (the trailing rows of `r`; earlier
+  /// rows must be unchanged): the pair store grows once
+  /// (SharingPairStore::add_rows), and the new pairs join dropped — they
+  /// enter G through refresh() once the readiness mask reports them
+  /// ready.  With a shared store this is the call that grows it: invoke
+  /// BEFORE PairMoments::add_paths.  Rows referencing new links require a
   /// grow_links() call first (r.cols() must equal the current link count;
   /// throws std::invalid_argument otherwise).
   void add_paths(const linalg::SparseBinaryMatrix& r, std::size_t count);
@@ -296,9 +299,7 @@ class StreamingNormalEquations {
   /// Pair flips applied to G since the cached factor was computed — the
   /// refactorization trigger of the next solve().
   [[nodiscard]] std::size_t pending_flips() const { return pending_flips_; }
-  /// The sharing-pair store: built lazily at the first drop-negative
-  /// refresh (or shared from construction); nullptr before that and always
-  /// under keep-all.
+  /// The sharing-pair store under drop-negative; nullptr under keep-all.
   [[nodiscard]] const SharingPairStore* pair_store() const {
     return pairs_.get();
   }
@@ -311,17 +312,15 @@ class StreamingNormalEquations {
   // target's constructor) and rhs, the cached RegularizedCholesky factor
   // (restored via from_state — NO refactorization on resume), the flips
   // pending against it, the kept-pair flags, link coverage, and the
-  // counters.  `store_external` is true when the pair store is owned by
-  // someone else (the monitor's shared PairMoments store) and serialized
-  // there; otherwise an owned store is embedded.  Structure derived purely
-  // from the routing matrix (column_paths_, the lazy pending_r_) is NOT
-  // serialized — restore_state targets an instance freshly constructed
-  // over the same (already restored) routing matrix and store
-  // configuration, and throws io::CheckpointError(kMismatch) on any shape
-  // or policy disagreement.  On failure *this is unchanged.
-  void save_state(io::CheckpointWriter& writer, bool store_external) const;
-  void restore_state(io::CheckpointReader& reader,
-                     std::shared_ptr<SharingPairStore> shared_store);
+  // counters.  The pair store is NOT serialized: its owner writes it
+  // (core::LiaMonitor's stack writes it before the accumulator), and
+  // neither is structure derived purely from the routing matrix
+  // (column_paths_).  restore_state targets an instance freshly
+  // constructed over the same (already restored) routing matrix and pair
+  // store, and throws io::CheckpointError(kMismatch) on any shape or
+  // policy disagreement.  On failure *this is unchanged.
+  void save_state(io::CheckpointWriter& writer) const;
+  void restore_state(io::CheckpointReader& reader);
 
  private:
   // The scalar references (VarianceOptions::use_reference_impl) assemble
@@ -337,7 +336,6 @@ class StreamingNormalEquations {
       const linalg::SparseBinaryMatrix& r, const stats::SnapshotMatrix& y,
       const VarianceOptions& options);
 
-  void ensure_store();
   void apply_flips(const std::vector<std::size_t>& flips);
   void refactorize();
 
@@ -348,9 +346,7 @@ class StreamingNormalEquations {
   bool refreshed_ = false;
   // keep-all: per-link path lists for the closed-form rhs.
   std::vector<std::vector<std::uint32_t>> column_paths_;
-  // drop-negative: routing matrix retained until the pair store is built
-  // (kept current by add_path while still lazy).
-  std::optional<linalg::SparseBinaryMatrix> pending_r_;
+  // drop-negative: the sharing pairs and which of them G holds.
   std::shared_ptr<SharingPairStore> pairs_;
   std::vector<std::uint8_t> pair_kept_;
   // Identity pinning of links with no kept pair equation: kept-pair

@@ -180,20 +180,6 @@ void Thin::do_push(const SnapshotBatch& batch) {
   }
 }
 
-void Scale::do_push(const SnapshotBatch& batch) {
-  if (batch.log_transformed) {
-    throw std::logic_error("Scale on a log-transformed stream");
-  }
-  buffer_.resize(batch.values.size());
-  for (std::size_t i = 0; i < batch.values.size(); ++i) {
-    buffer_[i] = batch.values[i] * factor_;
-  }
-  emit({.values = buffer_,
-        .rows = batch.rows,
-        .paths = batch.paths,
-        .log_transformed = false});
-}
-
 // -- Sinks ------------------------------------------------------------------
 
 void MonitorSink::do_push(const SnapshotBatch& batch) {

@@ -3,9 +3,8 @@
 // PR 1–5 optimized the linear-algebra side of the steady tick; what was
 // left in the hot loop was ingestion itself, hard-wired as "SnapshotStream
 // tokenizes a text line, the caller logs it, the monitor observes it".
-// Every new telemetry concern (thinning schedules, unit conversion, binary
-// traces, direct simulator feeds) either grew a flag on that loop or
-// leaked into LiaMonitor.
+// Every new telemetry concern (thinning schedules, binary traces, direct
+// simulator feeds) either grew a flag on that loop or leaked into LiaMonitor.
 //
 // This header restructures ingestion as a small element graph in the
 // spirit of Click's composable router elements: a Source *pushes*
@@ -237,19 +236,6 @@ class Thin final : public Element {
  private:
   std::size_t keep_every_;
   std::size_t phase_ = 0;  // rows seen modulo keep_every
-};
-
-/// Multiplies every value by a constant (unit conversion, e.g. percent ->
-/// fraction telemetry).  Only meaningful on raw-phi batches; throws
-/// std::logic_error on log-transformed input.
-class Scale final : public Element {
- public:
-  explicit Scale(double factor) : factor_(factor) {}
-  void do_push(const SnapshotBatch& batch) override;
-
- private:
-  double factor_;
-  std::vector<double> buffer_;
 };
 
 // -- Sinks ------------------------------------------------------------------

@@ -1,5 +1,8 @@
 #include "stats/covariance_source.hpp"
 
+#include <algorithm>
+#include <string>
+
 #include "io/checkpoint.hpp"
 #include "io/checkpoint_tags.hpp"
 
@@ -12,7 +15,8 @@ void PathChurnLedger::save_state(io::CheckpointWriter& writer) const {
   writer.end_section();
 }
 
-void PathChurnLedger::restore_state(io::CheckpointReader& reader) {
+void PathChurnLedger::restore_state(io::CheckpointReader& reader,
+                                    std::size_t pushes) {
   reader.expect_section(io::tags::kChurnLedger);
   std::vector<std::uint8_t> active = reader.u8s();
   std::vector<std::size_t> activated_at = reader.sizes();
@@ -23,6 +27,12 @@ void PathChurnLedger::restore_state(io::CheckpointReader& reader) {
         io::CheckpointErrorKind::kMismatch,
         "churn ledger dimension " + std::to_string(active.size()) +
             ", expected " + std::to_string(active_.size()));
+  }
+  if (std::any_of(activated_at.begin(), activated_at.end(),
+                  [pushes](std::size_t at) { return at > pushes; })) {
+    throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
+                              "churn ledger activation lies past the push "
+                              "count " + std::to_string(pushes));
   }
   active_ = std::move(active);
   activated_at_ = std::move(activated_at);

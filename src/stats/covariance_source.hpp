@@ -5,7 +5,7 @@
 // covariances of the path observations; it does not care how they were
 // produced.  This interface decouples the estimator stack
 // (core::build_normal_equations / core::estimate_link_variances /
-// core::Lia::learn) from the measurement representation, with two
+// core::Lia::learn) from the measurement representation, with three
 // implementations:
 //
 //  * BatchCovarianceSource — the reference batch path: wraps the centred
@@ -16,12 +16,18 @@
 //    that maintains S under O(np^2) rank-1 add/retire updates, so a
 //    monitoring loop never pays the O(m np^2) batch recomputation.  It also
 //    serves its retained window through centered_flat(), centred exactly
-//    as the batch wrapper centres it.
+//    as the batch wrapper centres it;
+//  * core::PairMoments (core/pair_moments.hpp) — the same sliding window
+//    restricted to the sharing pairs of a core::SharingPairStore: O(np +
+//    pairs) per update, and neither S nor the window samples are served.
 //
 // Consumers pick what they read: the drop-negative pairwise accumulation
 // reads pair covariances (matrix() or covariance()), the keep-all closed
 // form reads centered_flat() — the per-link path sums over the window are
-// all it needs, so it never forms S.
+// all it needs, so it never forms S.  Which paths may enter the system is
+// not the source's business: the consumer passes a readiness mask
+// (core::StreamingNormalEquations::refresh), and the monitor derives it
+// from its PathChurnLedger.
 #pragma once
 
 #include <algorithm>
@@ -78,35 +84,14 @@ class CovarianceSource {
   [[nodiscard]] virtual std::span<const double> centered_flat() const {
     return {};
   }
-
-  // -- Path churn (scenario engine, src/scenario/) ------------------------
-  //
-  // Sources that live under an evolving path set (dimensions activate,
-  // retire, and re-activate while the window slides) report per-dimension
-  // sample validity so consumers can exclude pairs whose statistics do not
-  // yet cover the full window.  Fixed-dimension batch sources keep the
-  // defaults: every coordinate is always backed by the whole window.
-
-  /// Number of trailing window samples that are *valid* for coordinate i —
-  /// samples observed since the coordinate was last activated, capped at
-  /// count().  Inactive coordinates report 0.  A pair statistic cov(i, j)
-  /// is *ready* for consumption exactly when both coordinates report
-  /// samples() == count() (full-window backing); consumers must exclude
-  /// pairs that are not ready — their accumulator entries mix
-  /// pre-activation filler with real data.
-  [[nodiscard]] virtual std::size_t samples(std::size_t i) const {
-    (void)i;
-    return count();
-  }
 };
 
-/// Per-dimension activation bookkeeping shared by the churn-aware
-/// accumulators (stats::WindowMoments) and the monitor's window engines
-/// (core::LiaMonitor).  The readiness rule is load-bearing for
-/// batch/streaming parity and lives only here: a dimension's statistics
-/// are valid for min(pushes - activated_at, window_count) trailing
-/// samples, and a pair enters an estimator only when both dimensions
-/// cover the full current window.
+/// Per-dimension activation bookkeeping of the monitor (core::LiaMonitor):
+/// the one readiness rule of the monitoring loop, load-bearing for
+/// batch/streaming parity.  A dimension's statistics are valid for
+/// min(pushes - activated_at, window_count) trailing samples, and a path's
+/// pair equations enter Phase 1 only when its samples cover the full
+/// current window.
 class PathChurnLedger {
  public:
   explicit PathChurnLedger(std::size_t dim)
@@ -142,17 +127,15 @@ class PathChurnLedger {
                            std::size_t count) const {
     return count > 0 && samples(i, pushes, count) == count;
   }
-  [[nodiscard]] bool pair_ready(std::size_t i, std::size_t j,
-                                std::size_t pushes, std::size_t count) const {
-    return ready(i, pushes, count) && ready(j, pushes, count);
-  }
 
   /// Checkpoint hooks (io/checkpoint.hpp): the ledger is pure state, so
-  /// save → restore reproduces samples()/pair_ready() exactly.  restore
-  /// throws io::CheckpointError(kMismatch) when the serialized dimension
-  /// differs from dim().
+  /// save → restore reproduces samples()/ready() exactly.  restore throws
+  /// io::CheckpointError(kMismatch) when the serialized dimension differs
+  /// from dim(), and kCorrupt when an activation lies past `pushes`, the
+  /// owner's restored push count (samples() would wrap and report such a
+  /// dimension ready at once).  On failure *this is unchanged.
   void save_state(io::CheckpointWriter& writer) const;
-  void restore_state(io::CheckpointReader& reader);
+  void restore_state(io::CheckpointReader& reader, std::size_t pushes);
 
  private:
   std::vector<std::uint8_t> active_;

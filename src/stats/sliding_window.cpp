@@ -89,22 +89,11 @@ void SnapshotRing::restore_state(io::CheckpointReader& reader) {
 WindowMoments::WindowMoments(std::size_t dim, StreamingMomentsOptions options)
     : options_(options),
       ring_(dim, options.window),
-      churn_(dim),
       mean_(dim, 0.0),
       delta_(dim, 0.0) {
   if (options_.refresh_every == 0) {
     options_.refresh_every = 2 * options_.window;
   }
-}
-
-void WindowMoments::activate_path(std::size_t i) {
-  if (i >= dim()) throw std::invalid_argument("path out of range");
-  churn_.activate(i, ring_.pushes());
-}
-
-void WindowMoments::retire_path(std::size_t i) {
-  if (i >= dim()) throw std::invalid_argument("path out of range");
-  churn_.retire(i);
 }
 
 std::size_t WindowMoments::add_paths(std::size_t count) {
@@ -113,7 +102,6 @@ std::size_t WindowMoments::add_paths(std::size_t count) {
   ring_.add_dims(count);
   mean_.resize(dim(), 0.0);
   delta_.resize(dim(), 0.0);
-  for (std::size_t k = 0; k < count; ++k) churn_.add_dim(ring_.pushes());
   grow(index);
   invalidate();
   return index;
@@ -174,7 +162,6 @@ void WindowMoments::save_state(io::CheckpointWriter& writer) const {
   writer.begin_section(checkpoint_tag());
   writer.usize(cross_.size());
   ring_.save_state(writer);
-  churn_.save_state(writer);
   writer.usize(since_refresh_);
   writer.usize(refreshes_);
   writer.doubles(mean_);
@@ -195,8 +182,6 @@ void WindowMoments::restore_state(io::CheckpointReader& reader) {
   // a corrupt section leaves *this untouched.
   SnapshotRing ring(dim(), window());
   ring.restore_state(reader);
-  PathChurnLedger churn(dim());
-  churn.restore_state(reader);
   const std::size_t since_refresh = reader.usize();
   const std::size_t refreshes = reader.usize();
   std::vector<double> mean = reader.doubles();
@@ -207,7 +192,6 @@ void WindowMoments::restore_state(io::CheckpointReader& reader) {
                               "window moments state is inconsistent");
   }
   ring_ = std::move(ring);
-  churn_ = std::move(churn);
   since_refresh_ = since_refresh;
   refreshes_ = refreshes;
   mean_ = std::move(mean);

@@ -9,10 +9,10 @@
 //    oldest row and to recompute their moments exactly.
 //  * WindowMoments — the shared core of the incremental accumulators
 //    (stats::StreamingMoments, dense; core::PairMoments, sharing pairs
-//    only).  It keeps the ring, the running means, the path-churn ledger,
-//    the drift-refresh cadence and the checkpoint of all of these, and
-//    leaves the accumulator only its cross-product layout and two kernels:
-//    the symmetric rank-1 update and the exact recompute.
+//    only).  It keeps the ring, the running means, the drift-refresh
+//    cadence and the checkpoint of all of these, and leaves the
+//    accumulator only its cross-product layout and two kernels: the
+//    symmetric rank-1 update and the exact recompute.
 //
 // Growth appends dimensions with an all-zero history (a zero tail on every
 // retained row).  For the incremental invariant that IS the new
@@ -98,15 +98,15 @@ struct StreamingMomentsOptions {
 /// `refresh_every` pushes the means and C are recomputed from the ring in
 /// logical order, discarding accumulated rounding drift.
 ///
-/// Path churn is bookkeeping only: C and the means always equal (up to
-/// bounded drift) the moments of the ring content, whatever each
-/// dimension's slots hold.  Callers push a deterministic filler
-/// (conventionally 0) for inactive dimensions; the PathChurnLedger marks
-/// how many trailing slots of each dimension are real, and a
-/// (re)activated dimension becomes pair-ready once `window` further pushes
-/// have flushed every filler slot out of the ring.
+/// Path churn is not the accumulator's business: C and the means always
+/// equal (up to bounded drift) the moments of the ring content, whatever
+/// each dimension's slots hold.  Callers push a deterministic filler
+/// (conventionally 0) for inactive dimensions, and the caller's
+/// PathChurnLedger decides which entries are real (core::LiaMonitor: a
+/// (re)activated path is ready once `window` further pushes have flushed
+/// every filler slot out of the ring).
 ///
-/// Thread-safety: single-writer (push, refresh, churn and growth mutate);
+/// Thread-safety: single-writer (push, refresh and growth mutate);
 /// the kernels parallelize internally with bit-identical results at any
 /// thread count.
 class WindowMoments : public CovarianceSource {
@@ -131,13 +131,6 @@ class WindowMoments : public CovarianceSource {
   // CovarianceSource:
   [[nodiscard]] std::size_t dim() const override { return ring_.dim(); }
   [[nodiscard]] std::size_t count() const override { return ring_.count(); }
-  /// Valid trailing samples of dimension i (the PathChurnLedger rule).
-  [[nodiscard]] std::size_t samples(std::size_t i) const override {
-    return churn_.samples(i, ring_.pushes(), ring_.count());
-  }
-  [[nodiscard]] bool pair_ready(std::size_t i, std::size_t j) const {
-    return churn_.pair_ready(i, j, ring_.pushes(), ring_.count());
-  }
 
   [[nodiscard]] std::size_t window() const { return ring_.window(); }
   [[nodiscard]] bool full() const { return ring_.full(); }
@@ -147,30 +140,16 @@ class WindowMoments : public CovarianceSource {
   /// Full recomputes performed so far (diagnostic for the drift tests).
   [[nodiscard]] std::size_t refreshes() const { return refreshes_; }
 
-  // -- Path churn ----------------------------------------------------------
-
-  /// Marks dimension i active from the next push on; its validity restarts
-  /// at zero samples.  No-op when already active.
-  void activate_path(std::size_t i);
-  /// Marks dimension i inactive: samples(i) drops to 0 and every pair
-  /// through i stops being ready.  Its entries keep updating with the
-  /// pushed filler, so a later activate_path(i) needs no state repair.
-  void retire_path(std::size_t i);
-  [[nodiscard]] bool path_active(std::size_t i) const {
-    return churn_.active(i);
-  }
-  /// Appends one dimension (active, zero samples).  Returns its index.
-  std::size_t add_path() { return add_paths(1); }
-  /// Appends `count` dimensions (active, zero samples, all-zero history)
-  /// with one reallocation of the ring and of C.  A pair-indexed
+  /// Appends `count` dimensions (all-zero history) with one reallocation
+  /// of the ring and of C.  A pair-indexed
   /// accumulator sizes C to its store, so grow the store first.  Returns
   /// the first new dimension's index.
   std::size_t add_paths(std::size_t count);
 
   // -- Checkpointing (io/checkpoint.hpp) ----------------------------------
   //
-  // Serializes the ring, the churn ledger, the cadence counters, the means
-  // and C — everything but scratch and caches — so a restored accumulator
+  // Serializes the ring, the cadence counters, the means and C —
+  // everything but scratch and caches — so a restored accumulator
   // continues the exact push/refresh sequence bit-identically.  restore
   // targets an accumulator constructed with the same dim, window and C
   // size, and throws io::CheckpointError(kMismatch) otherwise; on failure
@@ -209,7 +188,6 @@ class WindowMoments : public CovarianceSource {
 
   StreamingMomentsOptions options_;
   SnapshotRing ring_;
-  PathChurnLedger churn_;
   std::size_t since_refresh_ = 0;
   std::size_t refreshes_ = 0;
   linalg::Vector mean_;

@@ -5,8 +5,8 @@
 // most recent `window` snapshots every tick.  Recomputing S from the window
 // costs O(window * np^2); this accumulator keeps the dense centred
 // cross-product matrix C = sum_l (y_l - mean)(y_l - mean)^T current under
-// the shared sliding-window core (stats::WindowMoments: ring, means, churn
-// ledger, drift-refresh cadence, checkpoint), so a steady-state tick is two
+// the shared sliding-window core (stats::WindowMoments: ring, means,
+// drift-refresh cadence, checkpoint), so a steady-state tick is two
 // symmetric rank-1 updates, O(np^2) independent of the window length, and
 // S = C / (n-1) is always available.
 //

@@ -88,15 +88,14 @@ TEST(PairMoments, GrowthAlignsWithStoreAddRow) {
   // Growing the store without growing the accumulator is caught.
   store->add_row(r4);
   EXPECT_THROW(sparse.push(std::vector<double>(3, 0.0)), std::logic_error);
-  EXPECT_EQ(sparse.add_path(), 3u);
-  EXPECT_EQ(dense.add_path(), 3u);
+  EXPECT_EQ(sparse.add_paths(1), 3u);
+  EXPECT_EQ(dense.add_paths(1), 3u);
   y.resize(4);
   for (std::size_t l = 0; l < 6; ++l) {
     for (auto& v : y) v = rng.gaussian(0.0, 1.0);
     dense.push(y);
     sparse.push(y);
   }
-  EXPECT_TRUE(sparse.pair_ready(3, 1));
   store->for_pairs(0, store->pair_count(),
                    [&](std::size_t p, std::uint32_t i, std::uint32_t j,
                        std::span<const std::uint32_t>) {

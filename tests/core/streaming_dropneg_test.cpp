@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/monitor.hpp"
@@ -258,19 +260,72 @@ TEST(StreamingDropNegative, SignFlipHeavyWindowsMatchBatchAtAnyThreadCount) {
   }
 }
 
-// The pair store is built lazily: constructing the streaming system must
-// not enumerate pairs; the first refresh must.
-TEST(StreamingDropNegative, PairStoreIsBuiltLazily) {
+// The two-argument constructor builds its own pair store at construction,
+// the store SharingPairStore::build enumerates; keep-all has none.  Over a
+// caller's store, a store of another routing (or one under keep-all) is
+// refused.
+TEST(StreamingDropNegative, PairStoreIsBuiltAtConstruction) {
   const auto net = losstomo::testing::make_two_beacon_network();
   const net::ReducedRoutingMatrix rrm(net.graph, net.paths);
   StreamingNormalEquations eqs(rrm.matrix(), drop_options());
-  EXPECT_EQ(eqs.pair_store(), nullptr);
+  ASSERT_NE(eqs.pair_store(), nullptr);
+  const auto built = SharingPairStore::build(rrm.matrix());
+  EXPECT_EQ(eqs.pair_store()->pair_count(), built.pair_count());
+  EXPECT_GT(eqs.pair_store()->bytes(), 0u);
   ScriptedSource source(rrm.path_count());
   for (std::size_t i = 0; i < rrm.path_count(); ++i) source.set(i, i, 0.1);
+  const SharingPairStore* store = eqs.pair_store();
   eqs.refresh(source);
-  ASSERT_NE(eqs.pair_store(), nullptr);
-  EXPECT_GT(eqs.pair_store()->pair_count(), 0u);
-  EXPECT_GT(eqs.pair_store()->bytes(), 0u);
+  EXPECT_EQ(eqs.pair_store(), store);
+
+  VarianceOptions keep;
+  keep.negatives = NegativeCovariancePolicy::kKeep;
+  EXPECT_EQ(StreamingNormalEquations(rrm.matrix(), keep).pair_store(),
+            nullptr);
+  auto shared = std::make_shared<SharingPairStore>(built);
+  EXPECT_THROW(StreamingNormalEquations(rrm.matrix(), keep, shared),
+               std::invalid_argument);
+  EXPECT_THROW(StreamingNormalEquations(rrm.matrix(), drop_options(), nullptr),
+               std::invalid_argument);
+  const linalg::SparseBinaryMatrix other(1, {{0}, {0}});
+  EXPECT_THROW(StreamingNormalEquations(other, drop_options(), shared),
+               std::invalid_argument);
+}
+
+// The readiness mask is refresh()'s only churn gate: a pair through a path
+// that is not ready counts neither used nor dropped, and a kept one flips
+// out of G; when the path is ready again its pairs flip back in.  An empty
+// mask reads every path ready.
+TEST(StreamingDropNegative, ReadinessMaskGatesPairs) {
+  const linalg::SparseBinaryMatrix r(1, {{0}, {0}});
+  StreamingNormalEquations eqs(r, drop_options());
+  ScriptedSource source(2);
+  source.set(0, 0, 0.5);
+  source.set(0, 1, 0.25);
+  source.set(1, 1, 0.75);
+  eqs.refresh(source);
+  EXPECT_EQ(eqs.system().used, 3u);
+  (void)eqs.solve();
+
+  const std::vector<std::uint8_t> path1_out{1, 0};
+  eqs.refresh(source, path1_out);
+  EXPECT_EQ(eqs.system().used, 1u);  // only (0, 0)
+  EXPECT_EQ(eqs.system().dropped, 0u);
+  EXPECT_EQ(eqs.pending_flips(), 2u);
+  EXPECT_DOUBLE_EQ(eqs.system().g(0, 0), 1.0);
+  EXPECT_NEAR(eqs.solve().v[0], 0.5, 1e-12);
+
+  const std::vector<std::uint8_t> all_in{1, 1};
+  eqs.refresh(source, all_in);
+  EXPECT_EQ(eqs.system().used, 3u);
+  EXPECT_DOUBLE_EQ(eqs.system().g(0, 0), 3.0);
+
+  EXPECT_THROW(eqs.refresh(source, std::vector<std::uint8_t>{1}),
+               std::invalid_argument);
+  VarianceOptions keep;
+  keep.negatives = NegativeCovariancePolicy::kKeep;
+  StreamingNormalEquations keep_all(r, keep);
+  EXPECT_THROW(keep_all.refresh(source, path1_out), std::invalid_argument);
 }
 
 // A drop-negative tree monitor whose G is left exactly singular by the

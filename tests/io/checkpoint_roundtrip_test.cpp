@@ -17,11 +17,13 @@
 #include "core/sharing_pairs.hpp"
 #include "core/variance_estimator.hpp"
 #include "io/checkpoint.hpp"
+#include "io/checkpoint_tags.hpp"
 #include "net/routing_matrix.hpp"
 #include "obs/registry.hpp"
 #include "sim/probe_sim.hpp"
 #include "stats/moments.hpp"
 #include "stats/rng.hpp"
+#include "stats/sliding_window.hpp"
 #include "stats/streaming.hpp"
 #include "test_util.hpp"
 
@@ -174,51 +176,70 @@ TEST(CheckpointRoundTrip, SharingPairStoreAndPairMomentsRoundTrip) {
       });
 }
 
-TEST(CheckpointRoundTrip, StreamingNormalEquationsKeepFactorAndCounters) {
+// One layout for both accumulators: the store's owner writes the store,
+// then the accumulator, then the normal equations, which hold no store
+// bytes of their own.
+void normal_equations_roundtrip_case(core::CovarianceAccumulator kind) {
   const auto net = losstomo::testing::make_two_beacon_network();
   const net::ReducedRoutingMatrix rrm(net.graph, net.paths);
+  const std::size_t np = rrm.matrix().rows();
   core::VarianceOptions options;
   options.negatives = core::NegativeCovariancePolicy::kDrop;
-  const std::size_t window = 10;
-  const auto stream = make_stream(4 * window, 99);
+  const stats::StreamingMomentsOptions window{.window = 10};
+  const auto stream = make_stream(4 * window.window, 99);
+  const auto make_source = [&](std::shared_ptr<core::SharingPairStore> store)
+      -> std::unique_ptr<stats::WindowMoments> {
+    if (kind == core::CovarianceAccumulator::kSharingPairs) {
+      return std::make_unique<core::PairMoments>(std::move(store), np, window);
+    }
+    return std::make_unique<stats::StreamingMoments>(np, window);
+  };
 
-  stats::StreamingMoments source(rrm.matrix().rows(), {.window = window});
-  core::StreamingNormalEquations original(rrm.matrix(), options);
-  for (std::size_t l = 0; l < 2 * window + 5; ++l) {
-    source.push(stream[l]);
-    if (l + 1 >= window) {
-      original.refresh(source);
+  auto store = std::make_shared<core::SharingPairStore>(
+      core::SharingPairStore::build(rrm.matrix()));
+  auto source = make_source(store);
+  core::StreamingNormalEquations original(rrm.matrix(), options, store);
+  const std::size_t save_at = 2 * window.window + 5;
+  for (std::size_t l = 0; l < save_at; ++l) {
+    source->push(stream[l]);
+    if (l + 1 >= window.window) {
+      original.refresh(*source);
       (void)original.solve();
     }
   }
   const auto counters_before = original.refactorizations();
 
   CheckpointWriter writer;
-  source.save_state(writer);
-  original.save_state(writer, /*store_external=*/false);
+  store->save_state(writer);
+  source->save_state(writer);
+  original.save_state(writer);
   auto image = writer.finish();
 
   auto reader = CheckpointReader::from_bytes(image);
-  stats::StreamingMoments restored_source(rrm.matrix().rows(),
-                                          {.window = window});
-  restored_source.restore_state(reader);
-  core::StreamingNormalEquations restored(rrm.matrix(), options);
-  restored.restore_state(reader, nullptr);
+  auto restored_store = std::make_shared<core::SharingPairStore>();
+  restored_store->restore_state(reader);
+  auto restored_source = make_source(restored_store);
+  restored_source->restore_state(reader);
+  core::StreamingNormalEquations restored(rrm.matrix(), options,
+                                          restored_store);
+  restored.restore_state(reader);
   EXPECT_EQ(restored.refactorizations(), counters_before);
   EXPECT_EQ(restored.factor_attempts(), original.factor_attempts());
+  EXPECT_EQ(restored.pair_store(), restored_store.get());
 
   CheckpointWriter rewriter;
-  restored_source.save_state(rewriter);
-  restored.save_state(rewriter, /*store_external=*/false);
+  restored_store->save_state(rewriter);
+  restored_source->save_state(rewriter);
+  restored.save_state(rewriter);
   EXPECT_EQ(rewriter.finish(), image);
 
   // Continue both: refreshes and solves must stay bit-identical, and the
   // restored factor must refactorize exactly where the original does.
-  for (std::size_t l = 2 * window + 5; l < stream.size(); ++l) {
-    source.push(stream[l]);
-    restored_source.push(stream[l]);
-    const auto a = original.refresh(source);
-    const auto b = restored.refresh(restored_source);
+  for (std::size_t l = save_at; l < stream.size(); ++l) {
+    source->push(stream[l]);
+    restored_source->push(stream[l]);
+    const auto a = original.refresh(*source);
+    const auto b = restored.refresh(*restored_source);
     EXPECT_EQ(a.used, b.used);
     const auto va = original.solve();
     const auto vb = restored.solve();
@@ -229,6 +250,11 @@ TEST(CheckpointRoundTrip, StreamingNormalEquationsKeepFactorAndCounters) {
   }
   EXPECT_EQ(restored.refactorizations(), original.refactorizations());
   EXPECT_EQ(restored.factor_attempts(), original.factor_attempts());
+}
+
+TEST(CheckpointRoundTrip, StreamingNormalEquationsKeepFactorAndCounters) {
+  normal_equations_roundtrip_case(core::CovarianceAccumulator::kDense);
+  normal_equations_roundtrip_case(core::CovarianceAccumulator::kSharingPairs);
 }
 
 TEST(CheckpointRoundTrip, SnapshotSimulatorContinuesBitIdentically) {
@@ -335,6 +361,12 @@ void monitor_roundtrip_case(core::CovarianceAccumulator acc,
   if (ea) {
     EXPECT_EQ(ea->refactorizations(), eb->refactorizations());
     EXPECT_EQ(ea->factor_attempts(), eb->factor_attempts());
+    // Drop-negative, either accumulator: the equations run on the store
+    // the restored stack owns, restored from the image.
+    ASSERT_NE(ea->pair_store(), nullptr);
+    ASSERT_NE(eb->pair_store(), nullptr);
+    EXPECT_EQ(eb->pair_store()->pair_count(), ea->pair_store()->pair_count());
+    EXPECT_EQ(eb->pair_store()->path_count(), original.routing().rows());
   }
 }
 
@@ -410,11 +442,79 @@ TEST(CheckpointRoundTrip, MonitorRejectsConfigMismatchIntact) {
   }
 }
 
-// The pair stack (store, PairMoments, normal equations) is built at the
-// first call that needs it; a restore installs the loaded stack instead.
-// A streaming monitor builds its stack at first use: constructed only to
-// be restored into, it builds nothing, and the restore installs the
-// loaded stack.
+// A batch-engine monitor image written field by field in the layout of
+// LiaMonitor::save_state, so it can hold what no monitor writes: path 1
+// activated at `activated_at`, and a window of `pushes` pushes.
+std::vector<std::uint8_t> batch_monitor_image(
+    const linalg::SparseBinaryMatrix& r, const core::MonitorOptions& options,
+    std::size_t ticks, std::size_t activated_at, std::size_t pushes) {
+  CheckpointWriter writer;
+  writer.begin_section(tags::kMonitor);
+  writer.usize(options.window);
+  writer.usize(options.relearn_every);
+  writer.u8(static_cast<std::uint8_t>(core::MonitorEngine::kBatch));
+  writer.u8(static_cast<std::uint8_t>(options.accumulator));
+  writer.boolean(true);  // drop-negative
+  writer.usize(options.refresh_every);
+  writer.usize(r.cols());
+  writer.usize(r.rows());
+  for (std::size_t i = 0; i < r.rows(); ++i) writer.u32s(r.row(i));
+  writer.usize(ticks);
+  writer.usize(0);  // ticks since the last relearn
+  stats::PathChurnLedger ledger(r.rows());
+  ledger.retire(1);
+  ledger.activate(1, activated_at);
+  ledger.save_state(writer);
+  writer.boolean(false);  // no variance estimate
+  stats::SnapshotRing window(r.rows(), options.window);
+  for (std::size_t l = 0; l < pushes; ++l) {
+    window.push(std::vector<double>(r.rows(), -0.01));
+  }
+  window.save_state(writer);
+  writer.end_section();
+  return writer.finish();
+}
+
+// The readiness rule computes pushes - activated_at, so an activation past
+// the tick count, or a window whose push count is not the tick count,
+// would report a path ready at once.  The CRC cannot catch an image
+// written that way; the restore rejects it and leaves the monitor as it
+// was.
+TEST(CheckpointRoundTrip, MonitorRejectsActivationOrWindowPastItsTicks) {
+  const auto net = losstomo::testing::make_two_beacon_network();
+  const net::ReducedRoutingMatrix rrm(net.graph, net.paths);
+  const auto& r = rrm.matrix();
+  const auto options = monitor_options(core::CovarianceAccumulator::kDense,
+                                       core::MonitorEngine::kBatch);
+  const std::size_t ticks = options.window + 2;
+  {
+    core::LiaMonitor consistent(r, options);
+    restore_from_image(consistent, batch_monitor_image(r, options, ticks,
+                                                       ticks - 1, ticks));
+    EXPECT_EQ(consistent.ticks(), ticks);
+    EXPECT_TRUE(consistent.path_active(1));
+  }
+  const std::pair<std::size_t, std::size_t> cases[] = {
+      {ticks + 1, ticks},  // activation past the tick count
+      {ticks - 1, ticks - 1},  // window one push short of the tick count
+  };
+  for (const auto& [activated_at, pushes] : cases) {
+    core::LiaMonitor target(r, options);
+    try {
+      restore_from_image(target, batch_monitor_image(r, options, ticks,
+                                                     activated_at, pushes));
+      FAIL() << "accepted activation " << activated_at << ", pushes "
+             << pushes << " at tick " << ticks;
+    } catch (const CheckpointError& e) {
+      EXPECT_EQ(e.kind(), CheckpointErrorKind::kCorrupt);
+    }
+    EXPECT_EQ(target.ticks(), 0u);
+  }
+}
+
+// A streaming monitor builds its stack (store, accumulator, normal
+// equations) at first use: constructed only to be restored into, it
+// builds nothing, and the restore installs the loaded stack.
 void expect_restore_installs_the_loaded_stack(
     core::CovarianceAccumulator accumulator, std::uint64_t seed) {
   const auto net = losstomo::testing::make_two_beacon_network();
@@ -494,14 +594,17 @@ TEST(CheckpointRoundTrip, MonitorDenseCheckpointBeforeFirstSnapshot) {
                                           275);
 }
 
-TEST(CheckpointRoundTrip, MonitorPairsCounterAfterFirstSnapshotAndRestore) {
+// Both accumulators publish the stack's store: monitor.pairs is the
+// store's pair count from the first snapshot on and after a restore.
+void expect_pairs_counter_after_first_snapshot_and_restore(
+    core::CovarianceAccumulator accumulator) {
   const auto net = losstomo::testing::make_two_beacon_network();
   const net::ReducedRoutingMatrix rrm(net.graph, net.paths);
   const std::uint64_t pairs =
       core::SharingPairStore::build(rrm.matrix(), 1).pair_count();
   ASSERT_GT(pairs, 0u);
-  auto options = monitor_options(core::CovarianceAccumulator::kSharingPairs,
-                                 core::MonitorEngine::kStreaming);
+  auto options =
+      monitor_options(accumulator, core::MonitorEngine::kStreaming);
   const auto stream = make_stream(options.window + 3, 273);
 
   obs::Registry registry;
@@ -520,6 +623,13 @@ TEST(CheckpointRoundTrip, MonitorPairsCounterAfterFirstSnapshotAndRestore) {
   core::LiaMonitor restored(rrm.matrix(), options);
   restore_from_image(restored, image_of(original));
   EXPECT_EQ(restored_registry.counter("monitor.pairs").value(), pairs);
+}
+
+TEST(CheckpointRoundTrip, MonitorPairsCounterAfterFirstSnapshotAndRestore) {
+  expect_pairs_counter_after_first_snapshot_and_restore(
+      core::CovarianceAccumulator::kSharingPairs);
+  expect_pairs_counter_after_first_snapshot_and_restore(
+      core::CovarianceAccumulator::kDense);
 }
 
 }  // namespace

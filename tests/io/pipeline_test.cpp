@@ -105,18 +105,6 @@ TEST(Pipeline, ThinOneIsZeroCopyPassThrough) {
   EXPECT_THROW(Thin(0), std::invalid_argument);
 }
 
-TEST(Pipeline, ScaleConvertsUnitsAndRejectsLogStreams) {
-  const std::vector<double> percent{50.0, 100.0};
-  Scale scale(0.01);
-  CollectSink sink;
-  scale.to(sink);
-  scale.push(phi_batch(percent, 1, 2));
-  EXPECT_EQ(sink.values(), (std::vector<double>{0.5, 1.0}));
-  EXPECT_THROW(scale.push({.values = percent, .rows = 1, .paths = 2,
-                           .log_transformed = true}),
-               std::logic_error);
-}
-
 TEST(Pipeline, MonitorSinkRejectsRawPhi) {
   const linalg::SparseBinaryMatrix r(2, {{0}, {1}});
   core::LiaMonitor monitor(r, {.window = 2});

@@ -7,8 +7,9 @@
 //
 // The drill: one churn-heavy branching-tree scenario (every event type
 // the runner grows through, including link discovery) driven to
-// completion under threads ∈ {1,2,8}, each run with its own registry;
-// all three deterministic_values() maps must be equal.
+// completion under threads ∈ {1,2,8} with either drop-negative
+// accumulator, each run with its own registry; per accumulator, all three
+// deterministic_values() maps must be equal.
 // Then the checkpoint leg: save mid-run, restore into a fresh runner and
 // a fresh registry, and require the map to match at the restore point and
 // again at the end of the run.
@@ -60,36 +61,54 @@ ScenarioSpec fuzz_spec() {
   return spec;
 }
 
-// All runs use the sharing-pairs accumulator so the published metric SET
-// is identical.
-core::MonitorOptions options_for(std::size_t threads, Registry& registry) {
+// The spec resolves to drop-negative, so both accumulators run on the
+// stack's pair store; the other runs use the sharing-pairs accumulator.
+core::MonitorOptions options_for(
+    std::size_t threads, Registry& registry,
+    core::CovarianceAccumulator accumulator =
+        core::CovarianceAccumulator::kSharingPairs) {
   core::MonitorOptions options;
   options.lia.variance.threads = threads;
-  options.accumulator = core::CovarianceAccumulator::kSharingPairs;
+  options.accumulator = accumulator;
   options.telemetry = &registry;
   return options;
 }
 
-std::map<std::string, std::uint64_t> run_to_completion(std::size_t threads) {
+std::map<std::string, std::uint64_t> run_to_completion(
+    std::size_t threads, core::CovarianceAccumulator accumulator) {
   Registry registry;
-  ScenarioRunner runner(fuzz_spec(), options_for(threads, registry));
+  ScenarioRunner runner(fuzz_spec(),
+                        options_for(threads, registry, accumulator));
   while (runner.ticks_run() < runner.spec().ticks) runner.step();
+  // monitor.pairs is the store's pair count, whichever accumulator reads
+  // it (a dense monitor once published 0 here).
+  const auto* eqs = runner.monitor().streaming_equations();
+  EXPECT_NE(eqs->pair_store(), nullptr);
+  if (eqs->pair_store() != nullptr) {
+    EXPECT_GT(eqs->pair_store()->pair_count(), 0u);
+    EXPECT_EQ(registry.counter("monitor.pairs").value(),
+              eqs->pair_store()->pair_count());
+  }
   return registry.deterministic_values();
 }
 
 TEST(TelemetryDeterminism, BitIdenticalAcrossThreads) {
-  const auto reference = run_to_completion(1);
-  ASSERT_FALSE(reference.empty());
-  // Spot checks that the map actually covers the engine counters this
-  // fuzzer exists to pin — an accidentally-empty registry passes nothing.
-  EXPECT_TRUE(reference.contains("monitor.factor_attempts"));
-  EXPECT_TRUE(reference.contains("monitor.refactorizations"));
-  EXPECT_TRUE(reference.contains("monitor.pairs"));
-  EXPECT_TRUE(reference.contains("scenario.ticks"));
-  EXPECT_TRUE(reference.contains("scenario.events.grow_links"));
+  for (const auto accumulator : {core::CovarianceAccumulator::kSharingPairs,
+                                 core::CovarianceAccumulator::kDense}) {
+    const auto reference = run_to_completion(1, accumulator);
+    ASSERT_FALSE(reference.empty());
+    // Spot checks that the map actually covers the engine counters this
+    // fuzzer exists to pin — an accidentally-empty registry passes nothing.
+    EXPECT_TRUE(reference.contains("monitor.factor_attempts"));
+    EXPECT_TRUE(reference.contains("monitor.refactorizations"));
+    EXPECT_TRUE(reference.contains("monitor.pairs"));
+    EXPECT_TRUE(reference.contains("scenario.ticks"));
+    EXPECT_TRUE(reference.contains("scenario.events.grow_links"));
 
-  for (const std::size_t threads : {1, 2, 8}) {
-    EXPECT_EQ(run_to_completion(threads), reference) << "threads=" << threads;
+    for (const std::size_t threads : {1, 2, 8}) {
+      EXPECT_EQ(run_to_completion(threads, accumulator), reference)
+          << "threads=" << threads;
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 // The shared sliding window: SnapshotRing keeps the m most recent rows in
 // logical order through wrap-arounds, widens them with a zero tail, and
 // round-trips through a checkpoint; WindowMoments gives both accumulator
-// kernels the same means, ledger and cadence bit for bit.
+// kernels the same means and cadence bit for bit.
 #include "stats/sliding_window.hpp"
 
 #include <gtest/gtest.h>
@@ -119,8 +119,9 @@ TEST(SnapshotRing, RejectsWindowBelowTwo) {
   EXPECT_THROW(SnapshotRing(3, 0), std::invalid_argument);
 }
 
-// Both kernels ride one core: the means, the churn ledger and the refresh
-// cadence come out bit-identical whatever the cross-product layout.
+// Both kernels ride one core: the means and the refresh cadence come out
+// bit-identical whatever the cross-product layout, also while path 2
+// carries the 0.0 filler of a leave.
 TEST(WindowMoments, DenseAndPairKernelsShareOneCore) {
   const linalg::SparseBinaryMatrix r(4, {{0, 1}, {1, 2}, {2, 3}, {0, 3}});
   auto store = std::make_shared<core::SharingPairStore>(
@@ -131,23 +132,12 @@ TEST(WindowMoments, DenseAndPairKernelsShareOneCore) {
   std::vector<WindowMoments*> cores{&dense, &pairs};
   Rng rng(41);
   for (std::size_t l = 0; l < 23; ++l) {
-    if (l == 6) {
-      for (auto* c : cores) c->retire_path(2);
-    }
-    if (l == 9) {
-      for (auto* c : cores) c->activate_path(2);
-    }
     std::vector<double> y(r.rows());
     for (auto& v : y) v = rng.gaussian(0.0, 1.0);
     if (l >= 6 && l < 9) y[2] = 0.0;
     for (auto* c : cores) c->push(y);
     EXPECT_EQ(dense.means(), pairs.means()) << "push " << l;
     EXPECT_EQ(dense.refreshes(), pairs.refreshes());
-    for (std::size_t i = 0; i < r.rows(); ++i) {
-      EXPECT_EQ(dense.samples(i), pairs.samples(i)) << "push " << l;
-    }
-    // Path 2 is ready before it leaves and a full window after it rejoins.
-    EXPECT_EQ(pairs.pair_ready(2, 0), l < 6 || l >= 13) << "push " << l;
   }
   EXPECT_GT(dense.refreshes(), 2u);
 }

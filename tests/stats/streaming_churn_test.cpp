@@ -1,7 +1,9 @@
-// Path-churn bookkeeping of the sliding-window accumulator: add/retire is
-// pure bookkeeping on top of a uniform incremental invariant — after a
-// (re)activated dimension's filler has been flushed out of the ring, its
-// moments equal a from-scratch computation over the real window.
+// Path churn over the sliding-window accumulator: the accumulator keeps no
+// churn state (the monitor's stats::PathChurnLedger decides readiness,
+// tests/stats/path_churn_ledger_test.cpp), on top of a uniform incremental
+// invariant — after a rejoined dimension's filler has been flushed out of
+// the ring, its moments equal a from-scratch computation over the real
+// window.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -46,27 +48,15 @@ TEST(StreamingChurn, RetireAndRejoinRecoversExactMoments) {
   };
 
   for (std::size_t l = 0; l < kWindow + 3; ++l) push(true);
-  ASSERT_TRUE(acc.pair_ready(2, 4));
 
-  // Retire path 2: readiness drops immediately, every other pair is
-  // untouched.
-  acc.retire_path(2);
-  EXPECT_FALSE(acc.path_active(2));
-  EXPECT_EQ(acc.samples(2), 0u);
-  EXPECT_FALSE(acc.pair_ready(2, 4));
-  EXPECT_TRUE(acc.pair_ready(0, 4));
+  // Path 2 leaves (filler from here on): every pair away from it keeps
+  // its exact window moments.
   for (std::size_t l = 0; l < 3; ++l) push(false);
   EXPECT_NEAR(acc.covariance(0, 4), reference_cov(rows, kWindow, 0, 4), 1e-12);
 
-  // Rejoin: not ready until the filler slots have been flushed...
-  acc.activate_path(2);
-  for (std::size_t l = 0; l + 1 < kWindow; ++l) {
-    push(true);
-    EXPECT_FALSE(acc.pair_ready(2, 4)) << "after " << l + 1 << " pushes";
-  }
-  push(true);
-  // ...then exactly the from-scratch window moments again.
-  EXPECT_TRUE(acc.pair_ready(2, 4));
+  // Path 2 rejoins: once a full window has flushed the filler slots, its
+  // moments are exactly the from-scratch window moments again.
+  for (std::size_t l = 0; l < kWindow; ++l) push(true);
   for (std::size_t i = 0; i < kDim; ++i) {
     for (std::size_t j = i; j < kDim; ++j) {
       EXPECT_NEAR(acc.covariance(i, j), reference_cov(rows, kWindow, i, j),
@@ -91,29 +81,21 @@ TEST(StreamingChurn, AddPathGrowsWithZeroHistoryInvariant) {
   };
   for (std::size_t l = 0; l < kWindow + 2; ++l) push(3);
 
-  const std::size_t added = acc.add_path();
+  const std::size_t added = acc.add_paths(1);
   EXPECT_EQ(added, 3u);
   EXPECT_EQ(acc.dim(), 4u);
-  EXPECT_EQ(acc.samples(3), 0u);
-  EXPECT_FALSE(acc.pair_ready(3, 0));
-  EXPECT_TRUE(acc.pair_ready(0, 1));  // old dims unaffected
+  // The zero tail is the new dimension's history, so every entry matches
+  // the zero-padded reference right away and after a full window alike.
+  EXPECT_NEAR(acc.covariance(3, 0), reference_cov(rows, kWindow, 3, 0), 1e-12);
+  EXPECT_NEAR(acc.covariance(0, 1), reference_cov(rows, kWindow, 0, 1), 1e-12);
 
   for (std::size_t l = 0; l < kWindow; ++l) push(4);
-  EXPECT_TRUE(acc.pair_ready(3, 0));
   for (std::size_t i = 0; i < 4; ++i) {
     for (std::size_t j = i; j < 4; ++j) {
       EXPECT_NEAR(acc.covariance(i, j), reference_cov(rows, kWindow, i, j),
                   1e-12);
     }
   }
-}
-
-TEST(StreamingChurn, NonChurnedSourceReportsFullWindow) {
-  StreamingMoments acc(2, {.window = 4});
-  acc.push(std::vector<double>{1.0, 2.0});
-  acc.push(std::vector<double>{2.0, 1.0});
-  EXPECT_EQ(acc.samples(0), acc.count());
-  EXPECT_TRUE(acc.pair_ready(0, 1));
 }
 
 }  // namespace
